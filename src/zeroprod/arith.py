@@ -26,31 +26,12 @@ def as_natural(value, name: str = "value") -> int:
     return value
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two naturals, with gcd(0, b) = b."""
-    return math.gcd(as_natural(a, "a"), as_natural(b, "b"))
-
-
 def rat_make(num: int, den: int) -> Rational:
     """Build the reduced fraction num/den.  den must be >= 1."""
     as_natural(num, "numerator")
     if as_natural(den, "denominator") == 0:
         raise ZeroDenominatorError("denominator must be >= 1")
     return Fraction(num, den)
-
-
-def rat_mul(a: Rational, b: Rational) -> Rational:
-    """Exact reduced product of two rationals."""
-    return a * b
-
-
-def rat_cmp(a: Rational, b: Rational) -> int:
-    """Total order by cross-multiplication: -1, 0, or +1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def rat_str(q: Rational) -> str:

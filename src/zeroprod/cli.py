@@ -20,6 +20,7 @@ from zeroprod import kernels
 from zeroprod.arith import rat_decimal, rat_str, sqrt_decimal
 from zeroprod.errors import (
     ExcludedRingError,
+    InvalidInputError,
     OracleMismatchError,
     ResourceLimitError,
     ZeroprodError,
@@ -54,12 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_caps(cap: int | None) -> Caps:
+    """Caps from --cap, else ZEROPROD_CAP, else the defaults; both need >= 2."""
+    source = "--cap"
     if cap is None:
         env = os.environ.get("ZEROPROD_CAP")
-        if env is not None:
+        if env is None:
+            return Caps()
+        source = "ZEROPROD_CAP"
+        try:
             cap = int(env)
-    if cap is None:
-        return Caps()
+        except ValueError:
+            raise InvalidInputError(f"ZEROPROD_CAP must be an integer, got {env!r}") from None
+    if cap < 2:
+        raise InvalidInputError(f"{source} must be >= 2, got {cap}")
     return Caps(single=cap, pairwise=cap)
 
 
@@ -108,8 +116,8 @@ def _closed_prob(spec: RingSpec) -> tuple[Fraction, str]:
 
 
 def _cmd_prob(args, parser) -> int:
-    spec = _target_spec(args, parser)
     caps = _resolve_caps(args.cap)
+    spec = _target_spec(args, parser)
     value, path = _closed_prob(spec)
     if args.paranoid:
         brute = prob_brute(spec, paranoid=True, caps=caps)
@@ -263,8 +271,8 @@ def _cmd_montecarlo(args, parser) -> int:
 
 
 def _cmd_graph(args, parser) -> int:
-    spec = _target_spec(args, parser)
     caps = _resolve_caps(args.cap)
+    spec = _target_spec(args, parser)
     g = build_graph(spec, caps)
     stats = graph_stats(g)
     dot = export_dot(g)
@@ -309,8 +317,8 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs=False):
             "--cap",
             type=int,
             default=None,
-            help="override both enumeration caps (default: 65536 single, "
-            "4096 pairwise; env ZEROPROD_CAP)",
+            help="override both enumeration caps, >= 2 (default: 65536 "
+            "single, 4096 pairwise; env ZEROPROD_CAP)",
         )
     if jobs:
         sub.add_argument(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zeroprod.arith import as_natural, rat_decimal, rat_make, rat_mul, rat_str
+from zeroprod.arith import as_natural, rat_decimal, rat_make, rat_str
 from zeroprod.errors import ExcludedRingError, InvalidInputError
 from zeroprod.factor import Factorization, factorize, is_prime
 from zeroprod.rings import (
@@ -24,10 +24,8 @@ from zeroprod.rings import (
     Caps,
     DEFAULT_CAPS,
     RingSpec,
-    max_ann_size,
-    prob_brute,
+    ann_profile,
     ring_order,
-    zero_divisor_count,
 )
 
 GLOBAL_CAP = Fraction(3, 4)
@@ -50,7 +48,7 @@ def p_zn_from_factorization(f: Factorization) -> Fraction:
         )
     out = Fraction(1)
     for p, k in f:
-        out = rat_mul(out, p_zpk(p, k))
+        out *= p_zpk(p, k)
     return out
 
 
@@ -72,7 +70,7 @@ def p_product(ps: list[Fraction]) -> Fraction:
     for q in ps:
         if not 0 <= q <= 1:
             raise InvalidInputError(f"{q} is not a probability")
-        out = rat_mul(out, q)
+        out *= q
     return out
 
 
@@ -135,6 +133,20 @@ def refined_cap(l: int) -> Fraction:
     if as_natural(l, "l") < 2:
         raise InvalidInputError("ring order l must be >= 2")
     return Fraction(1, 2) + Fraction(1, l * l)
+
+
+def bound_chain(
+    l: int, zcount: int, maxann: int | None, p: Fraction
+) -> tuple[Fraction, Fraction, bool]:
+    """Lower and upper bound for measured k and m, and whether the chain
+
+        lower <= P <= upper <= 1/2 + 1/l^2 <= 3/4
+
+    holds; ``maxann`` is None when the ring has no zero-divisors (m = 1).
+    """
+    lower = lower_bound(l, zcount)
+    upper = upper_bound(l, zcount, 1 if maxann is None else maxann)
+    return lower, upper, lower <= p <= upper <= refined_cap(l) <= GLOBAL_CAP
 
 
 def ann_profile_zpk(p: int, k: int) -> AnnProfile:
@@ -201,24 +213,18 @@ def bounds_report(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> BoundsReport:
     is wrong.
     """
     order = ring_order(spec)
-    zcount = zero_divisor_count(spec, caps)
-    maxann = max_ann_size(spec, caps)
-    exact = prob_brute(spec, caps=caps)
-    lower = lower_bound(order, zcount)
-    upper = upper_bound(order, zcount, maxann if maxann is not None else 1)
-    refined = refined_cap(order)
-    all_hold = (
-        lower <= exact <= upper and exact <= refined and exact <= GLOBAL_CAP
-    )
+    profile = ann_profile(spec, caps)
+    exact = rat_make(profile.ann_count(), order * order)
+    lower, upper, all_hold = bound_chain(order, profile.zcount, profile.maxann, exact)
     return BoundsReport(
         ring=str(spec),
         order=order,
-        zcount=zcount,
-        maxann=maxann,
+        zcount=profile.zcount,
+        maxann=profile.maxann,
         lower=lower,
         exact=exact,
         upper=upper,
-        refined_cap=refined,
+        refined_cap=refined_cap(order),
         global_cap=GLOBAL_CAP,
         all_hold=all_hold,
     )

@@ -49,9 +49,10 @@ def estimate_zero_pairs(
         )
     if n >= _SAMPLER_LIMIT:
         raise InvalidInputError("the 64-bit sampler supports n < 2**64 only")
-    if as_natural(samples, "samples") < 1:
-        raise InvalidInputError("samples must be >= 1")
-    as_natural(seed, "seed")
+    if not 1 <= as_natural(samples, "samples") < _SAMPLER_LIMIT:
+        raise InvalidInputError("samples must satisfy 1 <= samples < 2**64")
+    if as_natural(seed, "seed") >= _SAMPLER_LIMIT:
+        raise InvalidInputError("the 64-bit sampler takes a seed < 2**64 only")
     hits = kernels.mc_zero_pairs_zn(n, samples, seed)
     estimate = rat_make(hits, samples)
     exact = p_zn(n)

@@ -224,14 +224,6 @@ def ann_set(spec: RingSpec, x, caps: Caps = DEFAULT_CAPS) -> set:
     return {y for y in elements(spec) if element_mul(spec, x, y) == zero}
 
 
-def _ann_histogram(spec: RingSpec, caps: Caps) -> dict[int, int]:
-    """Annihilator-size histogram over all elements (kernel-backed)."""
-    _require_single(spec, caps)
-    if isinstance(spec, Zn):
-        return kernels.ann_size_histogram_zn(spec.n)
-    return kernels.ann_size_histogram_mixed(leaf_moduli(spec))
-
-
 def zero_divisor_set(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> set:
     """All nonzero x that kill some nonzero y (the vertex set Z(R))."""
     _require_single(spec, caps)
@@ -244,34 +236,29 @@ def zero_divisor_set(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> set:
     }
 
 
-def zero_divisor_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:
-    """|Z(R)| from the size histogram, without materializing the set."""
-    hist = _ann_histogram(spec, caps)
-    # The zero element is the unique one of size |R|; every other element
-    # of size >= 2 is a nonzero zero-divisor.
-    return sum(cnt for size, cnt in hist.items() if size >= 2) - 1
-
-
-def max_ann_size(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int | None:
-    """max |Ann(x)| over x in Z(R); None when the ring has no zero-divisors."""
-    order = ring_order(spec)
-    hist = _ann_histogram(spec, caps)
-    sizes = [size for size in hist if 2 <= size < order]
-    return max(sizes, default=None)
-
-
 @dataclass(eq=True)
 class AnnProfile:
     """Annihilator sizes bucketed by element class.
 
-    ``zero`` covers x = 0 (always {|R|: 1}), ``zdiv`` the nonzero
-    zero-divisors, ``rest`` the remaining elements (all of size 1).
-    Each mapping sends an annihilator size to how many elements have it.
+    ``zero`` holds the sizes of at least |R| (x = 0 alone in a correct
+    ring), ``zdiv`` the sizes from 2 to |R| - 1 (the nonzero
+    zero-divisors), ``rest`` the sizes below 2 (the units).  Each mapping
+    sends an annihilator size to how many elements have it.
     """
 
     zero: dict[int, int]
     zdiv: dict[int, int]
     rest: dict[int, int]
+
+    @property
+    def zcount(self) -> int:
+        """k = |Z(R)|, the number of nonzero zero-divisors."""
+        return sum(self.zdiv.values())
+
+    @property
+    def maxann(self) -> int | None:
+        """m = max |Ann(x)| over x in Z(R); None without zero-divisors."""
+        return max(self.zdiv, default=None)
 
     def total_elements(self) -> int:
         return (
@@ -290,12 +277,33 @@ class AnnProfile:
 
 
 def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
-    """Measure the three-bucket annihilator profile of the ring."""
-    order = ring_order(spec)
-    hist = _ann_histogram(spec, caps)
-    zdiv = {size: cnt for size, cnt in sorted(hist.items()) if 2 <= size < order}
-    rest = {1: hist.get(1, 0)} if hist.get(1, 0) else {}
-    return AnnProfile(zero={order: 1}, zdiv=zdiv, rest=rest)
+    """Measure the annihilator profile of the ring in one kernel pass.
+
+    This is the only caller of the annihilator-histogram kernels: every
+    measured k, m and zero-product count in the package comes from here.
+    """
+    order = _require_single(spec, caps)
+    if isinstance(spec, Zn):
+        hist = kernels.ann_size_histogram_zn(spec.n)
+    else:
+        hist = kernels.ann_size_histogram_mixed(leaf_moduli(spec))
+    zero: dict[int, int] = {}
+    zdiv: dict[int, int] = {}
+    rest: dict[int, int] = {}
+    for size, cnt in sorted(hist.items()):
+        bucket = zero if size >= order else zdiv if size >= 2 else rest
+        bucket[size] = cnt
+    return AnnProfile(zero=zero, zdiv=zdiv, rest=rest)
+
+
+def zero_divisor_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:
+    """|Z(R)| from the measured profile, without materializing the set."""
+    return ann_profile(spec, caps).zcount
+
+
+def max_ann_size(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int | None:
+    """max |Ann(x)| over x in Z(R); None when the ring has no zero-divisors."""
+    return ann_profile(spec, caps).maxann
 
 
 def gcd_sum(n: int) -> int:
@@ -310,6 +318,14 @@ def gcd_sum(n: int) -> int:
     return kernels.gcd_sum(n)
 
 
+def pair_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:
+    """Ordered pairs (x, y) with x*y = 0, by O(|R|^2) pair enumeration."""
+    _require_pairwise(spec, caps)
+    if isinstance(spec, Zn):
+        return kernels.ann_pair_count_zn(spec.n)
+    return kernels.ann_pair_count_mixed(leaf_moduli(spec))
+
+
 def ann_count_total(
     spec: RingSpec, paranoid: bool = False, caps: Caps = DEFAULT_CAPS
 ) -> int:
@@ -320,15 +336,9 @@ def ann_count_total(
     enumeration also runs and the two counts must agree; disagreement
     raises, since it can only mean a broken build.
     """
-    fast = 0
-    for size, cnt in _ann_histogram(spec, caps).items():
-        fast += size * cnt
+    fast = ann_profile(spec, caps).ann_count()
     if paranoid:
-        _require_pairwise(spec, caps)
-        if isinstance(spec, Zn):
-            slow = kernels.ann_pair_count_zn(spec.n)
-        else:
-            slow = kernels.ann_pair_count_mixed(leaf_moduli(spec))
+        slow = pair_count(spec, caps)
         if slow != fast:
             raise OracleMismatchError(
                 f"pair enumeration ({slow}) disagrees with the gcd fast "

@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import Factorization, factorization_str, factorize
-from zeroprod.formulas import (
-    GLOBAL_CAP,
-    lower_bound,
-    p_zn_from_factorization,
-    refined_cap,
-    upper_bound,
-)
-from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, max_ann_size, zero_divisor_count
+from zeroprod.formulas import bound_chain, p_zn_from_factorization
+from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile
 
 
 @dataclass(frozen=True)
@@ -38,31 +35,44 @@ def scan_row(n: int, caps: Caps = DEFAULT_CAPS) -> ScanRow:
     """One row: exact P(Z_n) from the closed form, k and m measured."""
     f = factorize(n)
     exact = p_zn_from_factorization(f)
-    spec = Zn(n)
-    zcount = zero_divisor_count(spec, caps)
-    maxann = max_ann_size(spec, caps)
-    lower = lower_bound(n, zcount)
-    upper = upper_bound(n, zcount, maxann if maxann is not None else 1)
-    hold = (
-        lower <= exact <= upper
-        and exact <= refined_cap(n)
-        and exact <= GLOBAL_CAP
-    )
+    profile = ann_profile(Zn(n), caps)
+    lower, upper, hold = bound_chain(n, profile.zcount, profile.maxann, exact)
     return ScanRow(
         n=n,
         factorization=f,
         exact=exact,
         lower=lower,
         upper=upper,
-        zcount=zcount,
-        maxann=maxann,
+        zcount=profile.zcount,
+        maxann=profile.maxann,
         bounds_hold=hold,
     )
 
 
-def _scan_worker(args: tuple[int, Caps]) -> ScanRow:
-    n, caps = args
-    return scan_row(n, caps)
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
+
+
+def ordered_map(fn, items, jobs: int, chunksize: int):
+    """Yield fn(item) for every item, in input order.
+
+    With jobs > 1 the items go to a pool of that many processes in chunks
+    of ``chunksize``, and at most 2 * jobs chunks are in flight at once,
+    so memory stays bounded however long ``items`` is.  ``fn`` must be
+    picklable.
+    """
+    if jobs <= 1:
+        yield from map(fn, items)
+        return
+    it = iter(items)
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        while chunk := list(itertools.islice(it, chunksize)):
+            if len(pending) >= 2 * jobs:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_map_chunk, fn, chunk))
+        while pending:
+            yield from pending.popleft().result()
 
 
 def scan_rows(lo: int, hi: int, caps: Caps = DEFAULT_CAPS, jobs: int = 1):
@@ -73,10 +83,6 @@ def scan_rows(lo: int, hi: int, caps: Caps = DEFAULT_CAPS, jobs: int = 1):
     """
     if lo < 2 or lo > hi:
         raise InvalidInputError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
-    if jobs <= 1:
-        for n in range(lo, hi + 1):
-            yield scan_row(n, caps)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        work = ((n, caps) for n in range(lo, hi + 1))
-        yield from pool.map(_scan_worker, work, chunksize=64)
+    yield from ordered_map(
+        partial(scan_row, caps=caps), range(lo, hi + 1), jobs, chunksize=64
+    )

@@ -16,30 +16,16 @@ A failure is reported, never raised: the caller decides the exit code.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
-from zeroprod.arith import rat_str
+from zeroprod.arith import rat_make, rat_str
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import factorize
-from zeroprod.formulas import (
-    GLOBAL_CAP,
-    ann_profile_zpk,
-    lower_bound,
-    p_zn_from_factorization,
-    refined_cap,
-    upper_bound,
-)
-from zeroprod.rings import (
-    Caps,
-    DEFAULT_CAPS,
-    Zn,
-    ann_profile,
-    gcd_sum,
-    prob_brute,
-    ring_order,
-)
+from zeroprod.formulas import ann_profile_zpk, bound_chain, p_zn_from_factorization
+from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, gcd_sum, pair_count
+from zeroprod.scan import ordered_map
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
 # up to this bound by default; the gcd-sum and closed-form legs cover the
@@ -69,29 +55,25 @@ class VerifyReport:
 def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFailure]]:
     failures = []
     spec = Zn(n)
-    order = ring_order(spec)
     checks = 0
 
-    closed = p_zn_from_factorization(factorize(n))
+    f = factorize(n)
+    closed = p_zn_from_factorization(f)
     gsum = Fraction(gcd_sum(n), n * n)
-    paranoid = n <= min(pairwise_bound, caps.pairwise)
-    measured = prob_brute(spec, paranoid=paranoid, caps=caps)
-    checks += 1
-    if not closed == gsum == measured:
-        failures.append(
-            CheckFailure(
-                "triple-oracle",
-                n,
-                f"closed={rat_str(closed)} gcd-sum={rat_str(gsum)} "
-                f"measured={rat_str(measured)}",
-            )
-        )
-
     profile = ann_profile(spec, caps)
-    zcount = sum(profile.zdiv.values())
-    maxann = max(profile.zdiv, default=None)
+    measured = rat_make(profile.ann_count(), n * n)
+    legs = {"closed": closed, "gcd-sum": gsum, "measured": measured}
+    if n <= min(pairwise_bound, caps.pairwise):
+        legs["pairs"] = Fraction(pair_count(spec, caps), n * n)
     checks += 1
-    if profile.zero != {order: 1}:
+    if len(set(legs.values())) > 1:
+        detail = " ".join(f"{name}={rat_str(q)}" for name, q in legs.items())
+        failures.append(CheckFailure("triple-oracle", n, detail))
+
+    zcount = profile.zcount
+    maxann = profile.maxann
+    checks += 1
+    if profile.zero != {n: 1}:
         failures.append(
             CheckFailure("ann-buckets", n, f"zero bucket is {profile.zero}")
         )
@@ -99,25 +81,22 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
         failures.append(
             CheckFailure("ann-buckets", n, f"zdiv sizes {sorted(profile.zdiv)}")
         )
-    elif profile.rest != {1: order - 1 - zcount}:
+    elif profile.rest != {1: n - 1 - zcount}:
         failures.append(
             CheckFailure("ann-buckets", n, f"rest bucket is {profile.rest}")
         )
-    elif zcount > order - 2:
+    elif zcount > n - 2:
         failures.append(
-            CheckFailure("ann-buckets", n, f"k = {zcount} > l - 2 = {order - 2}")
+            CheckFailure("ann-buckets", n, f"k = {zcount} > l - 2 = {n - 2}")
         )
-    elif maxann is not None and 2 * maxann > order:
+    elif maxann is not None and 2 * maxann > n:
         failures.append(
             CheckFailure("ann-buckets", n, f"m = {maxann} > l/2")
         )
 
-    lower = lower_bound(order, zcount)
-    upper = upper_bound(order, zcount, maxann if maxann is not None else 1)
+    lower, upper, holds = bound_chain(n, zcount, maxann, measured)
     checks += 1
-    if not (
-        lower <= measured <= upper <= refined_cap(order) <= GLOBAL_CAP
-    ):
+    if not holds:
         failures.append(
             CheckFailure(
                 "bounds-chain",
@@ -127,24 +106,19 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
             )
         )
 
-    f = factorize(n)
     if len(f) == 1:
         p, k = f[0]
+        predicted = ann_profile_zpk(p, k)
         checks += 1
-        if ann_profile_zpk(p, k) != profile:
+        if predicted != profile:
             failures.append(
                 CheckFailure(
                     "prime-power-profile",
                     n,
-                    f"predicted {ann_profile_zpk(p, k)} measured {profile}",
+                    f"predicted {predicted} measured {profile}",
                 )
             )
     return checks, failures
-
-
-def _verify_worker(args: tuple[int, Caps, int]) -> tuple[int, list[CheckFailure]]:
-    n, caps, pairwise_bound = args
-    return _check_n(n, caps, pairwise_bound)
 
 
 def run_verify(
@@ -157,17 +131,9 @@ def run_verify(
     if max_n < 2:
         raise InvalidInputError("max_n must be >= 2")
     report = VerifyReport(max_n=max_n)
-    if jobs <= 1:
-        results = (_check_n(n, caps, pairwise_bound) for n in range(2, max_n + 1))
-        for checks, failures in results:
-            report.rings_checked += 1
-            report.checks_run += checks
-            report.failures.extend(failures)
-        return report
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        work = ((n, caps, pairwise_bound) for n in range(2, max_n + 1))
-        for checks, failures in pool.map(_verify_worker, work, chunksize=32):
-            report.rings_checked += 1
-            report.checks_run += checks
-            report.failures.extend(failures)
+    check = partial(_check_n, caps=caps, pairwise_bound=pairwise_bound)
+    for checks, failures in ordered_map(check, range(2, max_n + 1), jobs, chunksize=32):
+        report.rings_checked += 1
+        report.checks_run += checks
+        report.failures.extend(failures)
     return report

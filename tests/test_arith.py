@@ -5,44 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zeroprod.arith import (
-    gcd,
-    rat_cmp,
     rat_decimal,
     rat_make,
-    rat_mul,
     rat_parse,
     rat_str,
     sqrt_decimal,
 )
-from zeroprod.errors import InvalidInputError, ZeroDenominatorError
-
-
-def test_gcd_examples():
-    assert gcd(0, 7) == 7
-    assert gcd(12, 18) == 6
-    for x in (0, 1, 2, 97, 10**30):
-        assert gcd(1, x) == 1
-
-
-def test_gcd_rejects_negatives():
-    with pytest.raises(InvalidInputError):
-        gcd(-4, 6)
-
-
-@given(st.integers(0, 10**24), st.integers(0, 10**24))
-def test_gcd_divides_both(a, b):
-    g = gcd(a, b)
-    if g:
-        assert a % g == 0 and b % g == 0
-    else:
-        assert a == b == 0
-
-
-@given(st.integers(1, 10**12), st.integers(1, 10**12), st.integers(1, 1000))
-def test_common_divisors_divide_gcd(a, b, c):
-    # any common divisor of a*c and b*c divides gcd(a*c, b*c); c is one
-    g = gcd(a * c, b * c)
-    assert g % c == 0
+from zeroprod.errors import ZeroDenominatorError
 
 
 def test_rat_make_reduces():
@@ -60,29 +29,6 @@ def test_rat_make_zero_denominator():
 @given(st.integers(0, 10**9), st.integers(1, 10**9), st.integers(1, 10**4))
 def test_rat_make_canonicalizes(a, b, c):
     assert rat_make(a * c, b * c) == rat_make(a, b)
-
-
-def test_rat_mul_examples():
-    assert rat_mul(Fraction(1, 2), Fraction(13, 125)) == Fraction(13, 250)
-    assert rat_mul(Fraction(3, 7), Fraction(1, 1)) == Fraction(3, 7)
-    assert rat_mul(Fraction(3, 4), Fraction(0, 1)) == Fraction(0, 1)
-
-
-@given(
-    st.fractions(min_value=0, max_value=1),
-    st.fractions(min_value=0, max_value=1),
-    st.fractions(min_value=0, max_value=1),
-)
-def test_rat_mul_commutative_associative(a, b, c):
-    assert rat_mul(a, b) == rat_mul(b, a)
-    assert rat_mul(rat_mul(a, b), c) == rat_mul(a, rat_mul(b, c))
-
-
-def test_rat_cmp():
-    assert rat_cmp(Fraction(1, 2), Fraction(3, 4)) == -1
-    assert rat_cmp(Fraction(5, 18), Fraction(5, 18)) == 0
-    # 13*20 = 260 > 250*1
-    assert rat_cmp(Fraction(13, 250), Fraction(1, 20)) == 1
 
 
 def test_rat_str_and_parse_roundtrip():

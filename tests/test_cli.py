@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import zeroprod.kernels
 import zeroprod.verify
 from zeroprod.cli import main
 
@@ -265,6 +266,41 @@ class TestGraph:
         code, out, _ = run_cli(capsys, "graph", "--ring", "Zn(2)xZn(2)")
         assert code == 0
         assert '"(0,1)" -- "(1,0)";' in out
+
+
+class TestRejectedInputs:
+    """Bad inputs exit 1 before anything reaches stdout."""
+
+    def test_cap_flag_below_two(self, capsys):
+        for cap in ("-3", "0", "1"):
+            code, out, err = run_cli(capsys, "prob", "12", "--cap", cap)
+            assert (code, out) == (1, "")
+            assert "--cap must be >= 2" in err
+
+    def test_env_cap_below_two_or_not_an_integer(self, capsys, monkeypatch):
+        for cap in ("0", "-5", "lots"):
+            monkeypatch.setenv("ZEROPROD_CAP", cap)
+            code, out, err = run_cli(capsys, "prob", "12")
+            assert (code, out) == (1, "")
+            assert "ZEROPROD_CAP" in err
+
+    def test_scan_bad_cap_prints_no_header(self, capsys):
+        code, out, _ = run_cli(capsys, "scan", "2", "4", "--cap", "-3")
+        assert (code, out) == (1, "")
+
+    def test_montecarlo_samples_beyond_64_bits(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the sampler must not run")
+
+        monkeypatch.setattr(zeroprod.kernels, "mc_zero_pairs_zn", never)
+        code, out, err = run_cli(capsys, "montecarlo", "7", "--samples", str(1 << 64))
+        assert (code, out) == (1, "")
+        assert "samples" in err
+
+    def test_montecarlo_seed_beyond_64_bits(self, capsys):
+        code, out, err = run_cli(capsys, "montecarlo", "7", "--seed", str((1 << 64) + 1))
+        assert (code, out) == (1, "")
+        assert "seed" in err
 
 
 class TestDeterminismAcrossProcesses:

@@ -8,6 +8,7 @@ from zeroprod.factor import factorize, is_prime
 from zeroprod.formulas import (
     GLOBAL_CAP,
     ann_profile_zpk,
+    bound_chain,
     bounds_report,
     lower_bound,
     p_integral_domain,
@@ -19,7 +20,7 @@ from zeroprod.formulas import (
     refined_cap,
     upper_bound,
 )
-from zeroprod.rings import Product, Zn, ann_profile, gcd_sum, prob_brute
+from zeroprod.rings import Caps, Product, Zn, ann_profile, gcd_sum, prob_brute
 
 PRIMES_TO_100 = [p for p in range(2, 101) if is_prime(p)]
 
@@ -88,6 +89,9 @@ class TestZnClosedForm:
     def test_multiplicative_over_coprime_parts(self, a, b):
         assert a * b <= 10**6
         assert p_zn(a * b) == p_zn(a) * p_zn(b)
+        caps = Caps(single=a * b)
+        for l in (a, b, a * b):
+            assert ann_profile(Zn(l), caps).total_elements() == l
 
 
 class TestProductRule:
@@ -162,6 +166,21 @@ class TestBounds:
         assert caps[0] == GLOBAL_CAP
         assert all(a > b for a, b in zip(caps, caps[1:]))
         assert all(c < GLOBAL_CAP for c in caps[1:])
+
+    def test_bound_chain_predicate(self):
+        # Zn(8): k = 3, m = 4, lower 9/32 <= P = 5/16 <= upper 3/8
+        assert bound_chain(8, 3, 4, Fraction(5, 16)) == (
+            Fraction(9, 32),
+            Fraction(3, 8),
+            True,
+        )
+        assert bound_chain(7, 0, None, Fraction(13, 49))[2]
+        assert bound_chain(4, 1, 2, Fraction(1, 2))[2]
+        assert bound_chain(2, 0, None, GLOBAL_CAP)[2]
+        assert not bound_chain(8, 3, 4, Fraction(9, 32) - Fraction(1, 64**2))[2]
+        assert not bound_chain(8, 3, 4, Fraction(3, 8) + Fraction(1, 64**2))[2]
+        assert not bound_chain(7, 0, None, Fraction(12, 49))[2]
+        assert not bound_chain(7, 0, None, Fraction(14, 49))[2]
 
     def test_chain_holds_for_measured_rings(self):
         for n in range(2, 501):

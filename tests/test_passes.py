@@ -1,0 +1,96 @@
+"""Each measured quantity comes from one kernel pass, and pools stay bounded."""
+
+import sys
+from concurrent.futures import Future
+
+import pytest
+
+import zeroprod.cli  # noqa: F401  (loads every module whose bindings are counted)
+from zeroprod import factor, kernels, scan
+from zeroprod.formulas import bounds_report
+from zeroprod.rings import Product, Zn
+from zeroprod.scan import ordered_map, scan_row
+from zeroprod.verify import run_verify
+
+HISTOGRAMS = ("ann_size_histogram_zn", "ann_size_histogram_mixed")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls through every zeroprod binding of the counted functions."""
+    originals = [getattr(kernels, name) for name in HISTOGRAMS] + [factor.factorize]
+    counts = {fn.__name__: 0 for fn in originals}
+    for original in originals:
+
+        def counted(*args, _fn=original, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name != "zeroprod" and not name.startswith("zeroprod."):
+                continue
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def _histograms(counts):
+    return sum(counts[name] for name in HISTOGRAMS)
+
+
+@pytest.mark.parametrize("n", [2, 7, 12, 360, 4096])
+def test_one_histogram_per_scan_row(calls, n):
+    scan_row(n)
+    assert _histograms(calls) == 1
+    assert calls["factorize"] == 1
+
+
+@pytest.mark.parametrize("spec", [Zn(2), Zn(8), Zn(360), Product((Zn(4), Zn(9)))])
+def test_one_histogram_per_bounds_report(calls, spec):
+    bounds_report(spec)
+    assert _histograms(calls) == 1
+
+
+def test_one_histogram_and_factorization_per_verified_ring(calls):
+    report = run_verify(120, pairwise_bound=50)
+    assert report.passed and report.rings_checked == 119
+    assert _histograms(calls) == 119
+    assert calls["factorize"] == 119
+
+
+class _CountingPool:
+    """Synchronous stand-in for ProcessPoolExecutor that counts submissions."""
+
+    submitted = 0
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        type(self).submitted += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("jobs,chunksize", [(2, 1), (2, 3), (3, 1)])
+def test_ordered_map_bounds_chunks_in_flight(monkeypatch, jobs, chunksize):
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "submitted", 0)
+    out = ordered_map(abs, range(-100, 100), jobs, chunksize)
+    for read in range(1, 201):
+        assert next(out) == abs(read - 101)
+        assert _CountingPool.submitted <= read + 2 * jobs
+    assert next(out, None) is None
+
+
+def test_ordered_map_keeps_order_across_processes():
+    items = range(-40, 40)
+    assert list(ordered_map(abs, items, jobs=2, chunksize=3)) == list(map(abs, items))
