@@ -4,13 +4,16 @@ Subcommands: prob, bounds, scan, verify, montecarlo, graph.  All output
 is deterministic given the arguments (including --seed); --jobs changes
 wall time only, never bytes.  Exit codes: 0 success, 1 usage or invalid
 input, 2 excluded ring, 3 resource limit exceeded, 4 verification
-failure.  The environment variable ZEROPROD_CAP overrides the default
-enumeration caps; an explicit --cap wins over the environment.
+failure.  The enumeration caps apply to bounds, verify, graph and
+prob --paranoid; scan and montecarlo enumerate no ring and take no cap.
+The environment variable ZEROPROD_CAP overrides the default caps; an
+explicit --cap wins over the environment.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -71,6 +74,19 @@ def _resolve_caps(cap: int | None) -> Caps:
     return Caps(single=cap, pairwise=cap)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= low, so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _target_spec(args, parser: argparse.ArgumentParser) -> RingSpec:
     if args.ring is not None and args.n is not None:
         parser.error("give either a modulus or --ring, not both")
@@ -82,6 +98,7 @@ def _target_spec(args, parser: argparse.ArgumentParser) -> RingSpec:
 
 
 def _csv_cell(value):
+    """A CSV or table cell: booleans as true/false, None as empty."""
     if value is None:
         return ""
     if value is True:
@@ -97,15 +114,13 @@ def _emit_record(record: dict, fmt: str, out) -> None:
         print(json.dumps(record, indent=2, sort_keys=True), file=out)
         return
     if fmt == "csv":
-        import csv as _csv
-
-        writer = _csv.writer(out, lineterminator="\n")
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(record.keys())
         writer.writerow(_csv_cell(v) for v in record.values())
         return
     width = max(len(k) for k in record)
     for key, value in record.items():
-        print(f"{key:<{width}}  {'-' if value is None else value}", file=out)
+        print(f"{key:<{width}}  {'-' if value is None else _csv_cell(value)}", file=out)
 
 
 def _closed_prob(spec: RingSpec) -> tuple[Fraction, str]:
@@ -141,12 +156,7 @@ def _cmd_prob(args, parser) -> int:
 def _cmd_bounds(args, parser) -> int:
     caps = _resolve_caps(args.cap)
     report = bounds_report(Zn(args.n), caps)
-    record = report.to_dict(digits=args.digits)
-    if args.format == "json":
-        print(json.dumps(record, indent=2, sort_keys=True))
-    else:
-        record["all_hold"] = "true" if report.all_hold else "false"
-        _emit_record(record, args.format, sys.stdout)
+    _emit_record(report.to_dict(digits=args.digits), args.format, sys.stdout)
     return EXIT_OK if report.all_hold else EXIT_VERIFY
 
 
@@ -164,68 +174,60 @@ def _scan_record(row, digits: int) -> dict:
     }
 
 
+# One template for the table header and every table row.
+_SCAN_LINE = (
+    "{n:>6}  {factorization:<22}  {p:<14}  {p_decimal:<10}  {lower:<14}  "
+    "{upper:<14}  {zcount:>6}  {maxann:>6}  {bounds_hold}"
+)
+_SCAN_HEADER = _SCAN_LINE.format(
+    n="n", factorization="factorization", p="P", p_decimal="decimal", lower="lower",
+    upper="upper", zcount="zcount", maxann="maxann", bounds_hold="holds",
+)
+
+
+def _write_scan_csv(record: dict, first: bool) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    if first:
+        writer.writerow(record.keys())
+    writer.writerow(_csv_cell(v) for v in record.values())
+
+
+def _write_scan_table(record: dict, first: bool) -> None:
+    if first:
+        print(_SCAN_HEADER)
+    maxann = "-" if record["maxann"] is None else record["maxann"]
+    holds = "yes" if record["bounds_hold"] else "NO"
+    print(_SCAN_LINE.format(**{**record, "maxann": maxann, "bounds_hold": holds}))
+
+
 def _cmd_scan(args, parser) -> int:
     if args.lo < 2 or args.lo > args.hi:
         parser.error(f"need 2 <= LO <= HI, got {args.lo} {args.hi}")
-    caps = _resolve_caps(args.cap)
-    rows = scan_rows(args.lo, args.hi, caps, jobs=args.jobs)
-    all_hold = True
-    min_row = max_row = None
-    if args.format == "json":
-        records = []
-        for row in rows:
-            records.append(_scan_record(row, args.digits))
-            all_hold &= row.bounds_hold
-            if min_row is None or row.exact < min_row.exact:
-                min_row = row
-            if max_row is None or row.exact > max_row.exact:
-                max_row = row
-        summary = {
-            "rows": len(records),
-            "min_p": rat_str(min_row.exact),
-            "min_n": min_row.n,
-            "max_p": rat_str(max_row.exact),
-            "max_n": max_row.n,
-            "all_bounds_hold": all_hold,
-        }
-        print(json.dumps({"rows": records, "summary": summary}, indent=2, sort_keys=True))
-        return EXIT_OK if all_hold else EXIT_VERIFY
-    if args.format == "csv":
-        import csv as _csv
-
-        writer = _csv.writer(sys.stdout, lineterminator="\n")
-        header_written = False
-        for row in rows:
-            record = _scan_record(row, args.digits)
-            if not header_written:
-                writer.writerow(record.keys())
-                header_written = True
-            writer.writerow(_csv_cell(v) for v in record.values())
-            all_hold &= row.bounds_hold
-        return EXIT_OK if all_hold else EXIT_VERIFY
-    print(
-        f"{'n':>6}  {'factorization':<22}  {'P':<14}  {'decimal':<10}  "
-        f"{'lower':<14}  {'upper':<14}  {'zcount':>6}  {'maxann':>6}  holds"
-    )
-    count = 0
-    for row in rows:
-        maxann = "-" if row.maxann is None else row.maxann
-        print(
-            f"{row.n:>6}  {row.factorization_text:<22}  {rat_str(row.exact):<14}  "
-            f"{rat_decimal(row.exact, args.digits):<10}  {rat_str(row.lower):<14}  "
-            f"{rat_str(row.upper):<14}  {row.zcount:>6}  {maxann:>6}  "
-            f"{'yes' if row.bounds_hold else 'NO'}"
-        )
-        count += 1
+    records = []
+    write = {
+        "json": lambda record, first: records.append(record),
+        "csv": _write_scan_csv,
+        "table": _write_scan_table,
+    }[args.format]
+    all_hold, min_row, max_row = True, None, None
+    for count, row in enumerate(scan_rows(args.lo, args.hi, jobs=args.jobs), 1):
+        write(_scan_record(row, args.digits), first=count == 1)
         all_hold &= row.bounds_hold
-        if min_row is None or row.exact < min_row.exact:
-            min_row = row
-        if max_row is None or row.exact > max_row.exact:
-            max_row = row
-    print(
-        f"scanned {count} rings: min P = {rat_str(min_row.exact)} at n = {min_row.n}, "
-        f"max P = {rat_str(max_row.exact)} at n = {max_row.n}"
-    )
+        # min and max keep the earlier row on ties, so the lowest such n.
+        min_row = min(min_row or row, row, key=lambda r: r.exact)
+        max_row = max(max_row or row, row, key=lambda r: r.exact)
+    min_p, max_p = rat_str(min_row.exact), rat_str(max_row.exact)
+    if args.format == "json":
+        summary = dict(
+            rows=count, min_p=min_p, min_n=min_row.n, max_p=max_p, max_n=max_row.n,
+            all_bounds_hold=all_hold,
+        )
+        print(json.dumps({"rows": records, "summary": summary}, indent=2, sort_keys=True))
+    elif args.format == "table":
+        print(
+            f"scanned {count} rings: min P = {min_p} at n = {min_row.n}, "
+            f"max P = {max_p} at n = {max_row.n}"
+        )
     if not all_hold:
         print("WARNING: at least one bounds check failed", file=sys.stderr)
         return EXIT_VERIFY
@@ -264,8 +266,6 @@ def _cmd_montecarlo(args, parser) -> int:
         "std_error": sqrt_decimal(result.std_error_sq, args.digits),
         "within_3se": result.within_3se,
     }
-    if args.format == "table":
-        record["within_3se"] = "true" if result.within_3se else "false"
     _emit_record(record, args.format, sys.stdout)
     return EXIT_OK
 
@@ -308,7 +308,7 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs=False):
     if digits:
         sub.add_argument(
             "--digits",
-            type=int,
+            type=_int_at_least(0),
             default=6,
             help="fractional digits for decimal renderings (default: 6)",
         )
@@ -323,7 +323,7 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs=False):
     if jobs:
         sub.add_argument(
             "--jobs",
-            type=int,
+            type=_int_at_least(1),
             default=1,
             help="worker processes; affects wall time only, never output",
         )
@@ -358,7 +358,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("scan", help="per-n table over a range")
     s.add_argument("lo", type=int)
     s.add_argument("hi", type=int)
-    _add_common(s, jobs=True)
+    _add_common(s, cap=False, jobs=True)
 
     v = subs.add_parser("verify", help="run the oracle/bounds suites")
     v.add_argument("--max", type=int, required=True, help="check all n in [2, MAX]")

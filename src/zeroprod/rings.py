@@ -260,20 +260,25 @@ class AnnProfile:
         """m = max |Ann(x)| over x in Z(R); None without zero-divisors."""
         return max(self.zdiv, default=None)
 
+    @classmethod
+    def from_histogram(cls, hist: dict[int, int], order: int) -> "AnnProfile":
+        """Bucket a size -> count histogram of a ring of the given order."""
+        zero, zdiv, rest = {}, {}, {}
+        for size, cnt in sorted(hist.items()):
+            bucket = zero if size >= order else zdiv if size >= 2 else rest
+            bucket[size] = cnt
+        return cls(zero=zero, zdiv=zdiv, rest=rest)
+
+    def histogram(self) -> dict[int, int]:
+        """Annihilator size -> element count over all three buckets."""
+        return {**self.zero, **self.zdiv, **self.rest}
+
     def total_elements(self) -> int:
-        return (
-            sum(self.zero.values())
-            + sum(self.zdiv.values())
-            + sum(self.rest.values())
-        )
+        return sum(self.histogram().values())
 
     def ann_count(self) -> int:
         """Sum of size*count over all buckets = ordered zero-product pairs."""
-        out = 0
-        for bucket in (self.zero, self.zdiv, self.rest):
-            for size, cnt in bucket.items():
-                out += size * cnt
-        return out
+        return sum(size * cnt for size, cnt in self.histogram().items())
 
 
 def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
@@ -287,13 +292,7 @@ def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
         hist = kernels.ann_size_histogram_zn(spec.n)
     else:
         hist = kernels.ann_size_histogram_mixed(leaf_moduli(spec))
-    zero: dict[int, int] = {}
-    zdiv: dict[int, int] = {}
-    rest: dict[int, int] = {}
-    for size, cnt in sorted(hist.items()):
-        bucket = zero if size >= order else zdiv if size >= 2 else rest
-        bucket[size] = cnt
-    return AnnProfile(zero=zero, zdiv=zdiv, rest=rest)
+    return AnnProfile.from_histogram(hist, order)
 
 
 def zero_divisor_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:

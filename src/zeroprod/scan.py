@@ -1,18 +1,17 @@
-"""Range scans: closed-form probability plus measured bounds per modulus."""
+"""Range scans: P, k, m and the bound chain per modulus, from its factorization."""
 
 from __future__ import annotations
 
 import itertools
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import Factorization, factorization_str, factorize
-from zeroprod.formulas import bound_chain, p_zn_from_factorization
-from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile
+from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
 
 
 @dataclass(frozen=True)
@@ -31,11 +30,11 @@ class ScanRow:
         return factorization_str(self.factorization)
 
 
-def scan_row(n: int, caps: Caps = DEFAULT_CAPS) -> ScanRow:
-    """One row: exact P(Z_n) from the closed form, k and m measured."""
+def scan_row(n: int) -> ScanRow:
+    """One row: exact P(Z_n), k and m from the factorization of n."""
     f = factorize(n)
     exact = p_zn_from_factorization(f)
-    profile = ann_profile(Zn(n), caps)
+    profile = ann_profile_from_factorization(f)
     lower, upper, hold = bound_chain(n, profile.zcount, profile.maxann, exact)
     return ScanRow(
         n=n,
@@ -56,26 +55,27 @@ def _map_chunk(fn, chunk: list) -> list:
 def ordered_map(fn, items, jobs: int, chunksize: int):
     """Yield fn(item) for every item, in input order.
 
-    With jobs > 1 the items go to a pool of that many processes in chunks
-    of ``chunksize``, and at most 2 * jobs chunks are in flight at once,
-    so memory stays bounded however long ``items`` is.  ``fn`` must be
-    picklable.
+    ``items`` is a range.  Its chunks of ``chunksize`` go to a pool of
+    min(jobs, chunks, CPUs) processes with at most two chunks per process
+    in flight, so memory stays bounded; with one process there is no pool.
+    ``fn`` must be picklable.
     """
-    if jobs <= 1:
+    workers = min(jobs, -(-len(items) // chunksize), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(fn, items)
         return
     it = iter(items)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         while chunk := list(itertools.islice(it, chunksize)):
-            if len(pending) >= 2 * jobs:
+            if len(pending) >= 2 * workers:
                 yield from pending.popleft().result()
             pending.append(pool.submit(_map_chunk, fn, chunk))
         while pending:
             yield from pending.popleft().result()
 
 
-def scan_rows(lo: int, hi: int, caps: Caps = DEFAULT_CAPS, jobs: int = 1):
+def scan_rows(lo: int, hi: int, jobs: int = 1):
     """Yield rows for n = lo..hi ascending; jobs > 1 parallelizes over n.
 
     Rows are emitted in ascending order regardless of worker count, so
@@ -83,6 +83,4 @@ def scan_rows(lo: int, hi: int, caps: Caps = DEFAULT_CAPS, jobs: int = 1):
     """
     if lo < 2 or lo > hi:
         raise InvalidInputError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
-    yield from ordered_map(
-        partial(scan_row, caps=caps), range(lo, hi + 1), jobs, chunksize=64
-    )
+    yield from ordered_map(scan_row, range(lo, hi + 1), jobs, chunksize=64)

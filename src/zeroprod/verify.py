@@ -2,11 +2,12 @@
 
 Four named checks run for every n in [2, max_n]:
 
-  triple-oracle       closed form == gcd-sum oracle == measured brute
-                      count (pair enumeration additionally cross-checks
-                      the gcd fast path for small n)
+  triple-oracle       closed form == Pillai divisor sum == measured
+                      brute count (pair enumeration additionally
+                      cross-checks the measured count for small n)
   ann-buckets         |Ann(0)| = l, zero-divisors have size >= 2 and
-                      units size 1, k <= l - 2, and m <= l/2 when k > 0
+                      units size 1, k <= l - 2, m <= l/2 when k > 0, and
+                      measured k, m equal those derived from n's factors
   bounds-chain        lower <= exact <= upper <= 1/2 + 1/l^2 <= 3/4
   prime-power-profile measured annihilator profile matches the
                       valuation-partition prediction when n = p^k
@@ -23,13 +24,12 @@ from functools import partial
 from zeroprod.arith import rat_make, rat_str
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import factorize
-from zeroprod.formulas import ann_profile_zpk, bound_chain, p_zn_from_factorization
-from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, gcd_sum, pair_count
+from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
+from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, pair_count
 from zeroprod.scan import ordered_map
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
-# up to this bound by default; the gcd-sum and closed-form legs cover the
-# whole range.
+# up to this bound by default; the other legs cover the whole range.
 PAIRWISE_ORACLE_BOUND = 300
 
 
@@ -59,10 +59,11 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
 
     f = factorize(n)
     closed = p_zn_from_factorization(f)
-    gsum = Fraction(gcd_sum(n), n * n)
+    derived = ann_profile_from_factorization(f)
+    pillai = Fraction(derived.ann_count(), n * n)
     profile = ann_profile(spec, caps)
     measured = rat_make(profile.ann_count(), n * n)
-    legs = {"closed": closed, "gcd-sum": gsum, "measured": measured}
+    legs = {"closed": closed, "pillai": pillai, "measured": measured}
     if n <= min(pairwise_bound, caps.pairwise):
         legs["pairs"] = Fraction(pair_count(spec, caps), n * n)
     checks += 1
@@ -70,54 +71,36 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
         detail = " ".join(f"{name}={rat_str(q)}" for name, q in legs.items())
         failures.append(CheckFailure("triple-oracle", n, detail))
 
-    zcount = profile.zcount
-    maxann = profile.maxann
+    zcount, maxann = profile.zcount, profile.maxann
     checks += 1
     if profile.zero != {n: 1}:
-        failures.append(
-            CheckFailure("ann-buckets", n, f"zero bucket is {profile.zero}")
-        )
+        detail = f"zero bucket is {profile.zero}"
     elif any(size < 2 for size in profile.zdiv):
-        failures.append(
-            CheckFailure("ann-buckets", n, f"zdiv sizes {sorted(profile.zdiv)}")
-        )
+        detail = f"zdiv sizes {sorted(profile.zdiv)}"
     elif profile.rest != {1: n - 1 - zcount}:
-        failures.append(
-            CheckFailure("ann-buckets", n, f"rest bucket is {profile.rest}")
-        )
+        detail = f"rest bucket is {profile.rest}"
     elif zcount > n - 2:
-        failures.append(
-            CheckFailure("ann-buckets", n, f"k = {zcount} > l - 2 = {n - 2}")
-        )
+        detail = f"k = {zcount} > l - 2 = {n - 2}"
     elif maxann is not None and 2 * maxann > n:
-        failures.append(
-            CheckFailure("ann-buckets", n, f"m = {maxann} > l/2")
-        )
+        detail = f"m = {maxann} > l/2"
+    elif (zcount, maxann) != (derived.zcount, derived.maxann):
+        detail = f"measured k, m = {zcount}, {maxann} but derived {derived.zcount}, {derived.maxann}"
+    else:
+        detail = None
+    if detail is not None:
+        failures.append(CheckFailure("ann-buckets", n, detail))
 
     lower, upper, holds = bound_chain(n, zcount, maxann, measured)
     checks += 1
     if not holds:
-        failures.append(
-            CheckFailure(
-                "bounds-chain",
-                n,
-                f"lower={rat_str(lower)} exact={rat_str(measured)} "
-                f"upper={rat_str(upper)}",
-            )
-        )
+        detail = f"lower={rat_str(lower)} exact={rat_str(measured)} upper={rat_str(upper)}"
+        failures.append(CheckFailure("bounds-chain", n, detail))
 
     if len(f) == 1:
-        p, k = f[0]
-        predicted = ann_profile_zpk(p, k)
         checks += 1
-        if predicted != profile:
-            failures.append(
-                CheckFailure(
-                    "prime-power-profile",
-                    n,
-                    f"predicted {predicted} measured {profile}",
-                )
-            )
+        if derived != profile:
+            detail = f"predicted {derived} measured {profile}"
+            failures.append(CheckFailure("prime-power-profile", n, detail))
     return checks, failures
 
 

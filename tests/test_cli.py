@@ -10,6 +10,7 @@ import pytest
 import zeroprod.kernels
 import zeroprod.verify
 from zeroprod.cli import main
+from zeroprod.rings import AnnProfile
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +165,17 @@ class TestScan:
         assert [int(r[0]) for r in rows] == list(range(2, 61))
         assert all(r[-1] == "true" for r in rows)
 
+    def test_no_enumeration_cap(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "scan", "65535", "65537", "--format", "csv")
+        assert code == 0
+        assert [r[0] for r in csv.reader(io.StringIO(out))][1:] == ["65535", "65536", "65537"]
+        code, out, _ = run_cli(capsys, "scan", "1000000000000", "1000000000003")
+        assert code == 0
+        assert "scanned 4 rings" in out
+        _, default, _ = run_cli(capsys, "scan", "2", "200")
+        monkeypatch.setenv("ZEROPROD_CAP", "100")
+        assert run_cli(capsys, "scan", "2", "200") == (0, default, "")
+
 
 class TestVerify:
     def test_pass_small(self, capsys):
@@ -193,6 +205,21 @@ class TestVerify:
         assert code == 4
         assert "FAIL triple-oracle" in out
         assert "FAIL" in out.splitlines()[-1]
+
+    def test_wrong_derived_k_fails_ann_buckets(self, capsys, monkeypatch):
+        derive = zeroprod.verify.ann_profile_from_factorization
+
+        def one_extra_zero_divisor(f):
+            profile = derive(f)
+            zdiv = {**profile.zdiv, 2: profile.zdiv.get(2, 0) + 1}
+            return AnnProfile(profile.zero, zdiv, profile.rest)
+
+        monkeypatch.setattr(
+            zeroprod.verify, "ann_profile_from_factorization", one_extra_zero_divisor
+        )
+        code, out, _ = run_cli(capsys, "verify", "--max", "10")
+        assert code == 4
+        assert "FAIL ann-buckets n=7: measured k, m = 0, None but derived 1, 2" in out
 
 
 class TestMonteCarlo:
@@ -285,8 +312,17 @@ class TestRejectedInputs:
             assert "ZEROPROD_CAP" in err
 
     def test_scan_bad_cap_prints_no_header(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "2", "4", "--cap", "-3")
-        assert (code, out) == (1, "")
+        for argv in (
+            ("scan", "2", "4", "--cap", "-3"),
+            ("scan", "2", "4", "--digits", "-1"),
+            ("prob", "12", "--digits", "-1"),
+            ("scan", "2", "4", "--jobs", "0"),
+            ("verify", "--max", "10", "--jobs", "-2"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == 1
+            assert capsys.readouterr().out == ""
 
     def test_montecarlo_samples_beyond_64_bits(self, capsys, monkeypatch):
         def never(*args):

@@ -7,6 +7,7 @@ from zeroprod.errors import ExcludedRingError, InvalidInputError
 from zeroprod.factor import factorize, is_prime
 from zeroprod.formulas import (
     GLOBAL_CAP,
+    ann_profile_from_factorization,
     ann_profile_zpk,
     bound_chain,
     bounds_report,
@@ -75,12 +76,17 @@ class TestZnClosedForm:
             p_zn(0)
         with pytest.raises(ExcludedRingError):
             p_zn_from_factorization([])
+        with pytest.raises(ExcludedRingError):
+            ann_profile_from_factorization([])
 
     def test_triple_oracle_agreement(self):
-        for n in range(2, 1001):
+        for n in range(2, 3001):
             closed = p_zn(n)
             assert closed == Fraction(gcd_sum(n), n * n)
             assert closed == prob_brute(Zn(n))
+            derived = ann_profile_from_factorization(factorize(n))
+            assert derived == ann_profile(Zn(n))
+            assert derived.ann_count() == gcd_sum(n)
 
     @pytest.mark.parametrize(
         "a,b",

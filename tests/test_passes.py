@@ -1,4 +1,5 @@
-"""Each measured quantity comes from one kernel pass, and pools stay bounded."""
+"""Each measured quantity comes from one kernel pass, scan measures none,
+and pools stay bounded."""
 
 import sys
 from concurrent.futures import Future
@@ -41,8 +42,9 @@ def _histograms(counts):
 
 @pytest.mark.parametrize("n", [2, 7, 12, 360, 4096])
 def test_one_histogram_per_scan_row(calls, n):
+    """Scan rows are derived from the factorization: no histogram at all."""
     scan_row(n)
-    assert _histograms(calls) == 1
+    assert _histograms(calls) == 0
     assert calls["factorize"] == 1
 
 
@@ -60,12 +62,14 @@ def test_one_histogram_and_factorization_per_verified_ring(calls):
 
 
 class _CountingPool:
-    """Synchronous stand-in for ProcessPoolExecutor that counts submissions."""
+    """Synchronous stand-in for ProcessPoolExecutor that counts submissions
+    and records the pool sizes asked for."""
 
     submitted = 0
+    sizes: list = []
 
     def __init__(self, max_workers):
-        pass
+        type(self).sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -83,6 +87,7 @@ class _CountingPool:
 @pytest.mark.parametrize("jobs,chunksize", [(2, 1), (2, 3), (3, 1)])
 def test_ordered_map_bounds_chunks_in_flight(monkeypatch, jobs, chunksize):
     monkeypatch.setattr(scan, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: jobs)
     monkeypatch.setattr(_CountingPool, "submitted", 0)
     out = ordered_map(abs, range(-100, 100), jobs, chunksize)
     for read in range(1, 201):
@@ -91,6 +96,25 @@ def test_ordered_map_bounds_chunks_in_flight(monkeypatch, jobs, chunksize):
     assert next(out, None) is None
 
 
-def test_ordered_map_keeps_order_across_processes():
+@pytest.mark.parametrize(
+    "jobs,items,cpus,sizes",
+    [
+        (6, 1, 4, []),  # one chunk: mapped in this process, no pool
+        (6, 200, 8, [4]),  # four chunks of 64
+        (3, 1000, 2, [2]),  # two CPUs
+        (2, 1000, None, []),  # CPU count unknown: one process
+        (2, 1000, 4, [2]),
+    ],
+)
+def test_ordered_map_pool_size(monkeypatch, jobs, items, cpus, sizes):
+    monkeypatch.setattr(scan, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "sizes", [])
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+    assert list(ordered_map(abs, range(items), jobs, 64)) == list(range(items))
+    assert _CountingPool.sizes == sizes
+
+
+def test_ordered_map_keeps_order_across_processes(monkeypatch):
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 2)
     items = range(-40, 40)
     assert list(ordered_map(abs, items, jobs=2, chunksize=3)) == list(map(abs, items))
