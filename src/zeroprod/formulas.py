@@ -149,6 +149,13 @@ def bound_chain(
     return lower, upper, lower <= p <= upper <= refined_cap(l) <= GLOBAL_CAP
 
 
+def _zpk_histogram(p: int, k: int) -> dict[int, int]:
+    # For a prime p that the caller has already checked or proven.
+    hist = {p**i: p ** (k - i) - p ** (k - i - 1) for i in range(k)}
+    hist[p**k] = 1
+    return hist
+
+
 def ann_profile_zpk(p: int, k: int) -> AnnProfile:
     """Predicted annihilator profile of Z_{p^k}.
 
@@ -161,9 +168,7 @@ def ann_profile_zpk(p: int, k: int) -> AnnProfile:
         raise InvalidInputError(f"p must be prime, got {p}")
     if as_natural(k, "k") < 1:
         raise InvalidInputError("exponent k must be >= 1")
-    hist = {p**i: p ** (k - i) - p ** (k - i - 1) for i in range(k)}
-    hist[p**k] = 1
-    return AnnProfile.from_histogram(hist, p**k)
+    return AnnProfile.from_histogram(_zpk_histogram(p, k), p**k)
 
 
 def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
@@ -172,12 +177,14 @@ def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
     Annihilator sizes multiply across the Z_{p^k} components of Z_n, so
     its histogram {d: phi(n/d) for d | n} is the multiplicative
     convolution of theirs: O(tau(n)) work, where measuring takes O(n).
+    ``f`` is taken as returned by :func:`factorize`, whose primes are
+    proven, so they are not tested again.
     """
     if not f:
         raise ExcludedRingError(_ZERO_RING)
     hist, order = {1: 1}, 1
     for p, k in f:
-        component = ann_profile_zpk(p, k).histogram()
+        component = _zpk_histogram(p, k)
         out = Counter()
         for a, ca in hist.items():
             for b, cb in component.items():

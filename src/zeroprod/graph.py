@@ -27,6 +27,8 @@ from zeroprod.rings import (
     ann_size,
     element_mul,
     element_str,
+    leaf_digits,
+    leaf_moduli,
     zero_divisor_set,
     zero_element,
 )
@@ -57,14 +59,10 @@ def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     zero = zero_element(spec)
     if isinstance(spec, Zn):
         index_pairs = kernels.graph_edges_zn(spec.n, verts)
-        edges = frozenset((verts[i], verts[j]) for i, j in index_pairs)
     else:
-        found = []
-        for i, u in enumerate(verts):
-            for v in verts[i + 1 :]:
-                if element_mul(spec, u, v) == zero:
-                    found.append((u, v))
-        edges = frozenset(found)
+        digits = [leaf_digits(x) for x in verts]
+        index_pairs = kernels.graph_edges_mixed(leaf_moduli(spec), digits)
+    edges = frozenset((verts[i], verts[j]) for i, j in index_pairs)
     self_ann = frozenset(
         x for x in verts if element_mul(spec, x, x) == zero
     )

@@ -3,9 +3,12 @@
 The compiled module is used whenever it imported successfully and every
 intermediate of the requested call fits unsigned 64-bit arithmetic;
 otherwise the call routes to the arbitrary-precision Python twin.  Both
-backends implement the same algorithms and return identical values.  Set
-ZEROPROD_PURE=1 to force the Python backend (used by the benchmark and by
-tests that compare the two).
+backends test every pair and return identical values, though several
+Python kernels no longer follow the compiled loops step by step (the
+product kernels work on bitsets, 64 pairs per machine word; see
+``zeroprod._kernels_py``).  ``graph_edges_mixed`` exists only in
+Python.  Set ZEROPROD_PURE=1 to force the Python backend (used by the
+benchmark and by tests that compare the two).
 """
 
 from __future__ import annotations
@@ -75,6 +78,12 @@ def graph_edges_zn(n: int, verts: list[int]) -> list[tuple[int, int]]:
     if _c is not None and n < _PAIR_BOUND:
         return _c.graph_edges_zn(n, verts)
     return _py.graph_edges_zn(n, verts)
+
+
+def graph_edges_mixed(
+    mods: tuple[int, ...], verts: list[tuple[int, ...]]
+) -> list[tuple[int, int]]:
+    return _py.graph_edges_mixed(mods, verts)
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:

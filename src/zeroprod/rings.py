@@ -133,6 +133,13 @@ def leaf_moduli(spec: RingSpec) -> tuple[int, ...]:
     return out
 
 
+def leaf_digits(x) -> tuple[int, ...]:
+    """Residues of an element's Zn leaves in left-to-right order."""
+    if isinstance(x, tuple):
+        return tuple(d for c in x for d in leaf_digits(c))
+    return (x,)
+
+
 def zero_element(spec: RingSpec):
     if isinstance(spec, Zn):
         return 0

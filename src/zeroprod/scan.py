@@ -13,6 +13,8 @@ from zeroprod.errors import InvalidInputError
 from zeroprod.factor import Factorization, factorization_str, factorize
 from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
 
+_FACTOR_LIMIT = 1 << 64
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -79,8 +81,12 @@ def scan_rows(lo: int, hi: int, jobs: int = 1):
     """Yield rows for n = lo..hi ascending; jobs > 1 parallelizes over n.
 
     Rows are emitted in ascending order regardless of worker count, so
-    output bytes never depend on the jobs setting.
+    output bytes never depend on the jobs setting.  hi must be below
+    2**64, where every modulus is guaranteed to factor; the check runs
+    before the first row.
     """
     if lo < 2 or lo > hi:
         raise InvalidInputError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
+    if hi >= _FACTOR_LIMIT:
+        raise InvalidInputError(f"scan needs hi < 2**64, got hi={hi}")
     yield from ordered_map(scan_row, range(lo, hi + 1), jobs, chunksize=64)

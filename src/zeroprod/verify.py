@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 from zeroprod.arith import rat_make, rat_str
-from zeroprod.errors import InvalidInputError
+from zeroprod.errors import InvalidInputError, ResourceLimitError
 from zeroprod.factor import factorize
 from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
 from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, pair_count
@@ -113,6 +113,10 @@ def run_verify(
     """Run every check for 2 <= n <= max_n and collect failures."""
     if max_n < 2:
         raise InvalidInputError("max_n must be >= 2")
+    if max_n > caps.single:
+        raise ResourceLimitError(
+            f"ring order {max_n} exceeds the enumeration cap {caps.single}"
+        )
     report = VerifyReport(max_n=max_n)
     check = partial(_check_n, caps=caps, pairwise_bound=pairwise_bound)
     for checks, failures in ordered_map(check, range(2, max_n + 1), jobs, chunksize=32):

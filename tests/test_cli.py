@@ -177,6 +177,16 @@ class TestScan:
         assert run_cli(capsys, "scan", "2", "200") == (0, default, "")
 
 
+    def test_hi_beyond_64_bits_prints_nothing(self, capsys):
+        for lo, hi in ((2**128, 2**128 + 1), (2**64 - 1, 2**64)):
+            code, out, err = run_cli(capsys, "scan", str(lo), str(hi), "--format", "csv")
+            assert (code, out) == (1, "")
+            assert "2**64" in err
+        code, out, _ = run_cli(capsys, "scan", str(2**64 - 2), str(2**64 - 1), "--format", "csv")
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+
 class TestVerify:
     def test_pass_small(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max", "200")
@@ -193,6 +203,17 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli(capsys, "verify", "--max", "1")
         assert exc.value.code == 1
+
+    def test_max_above_cap_exits_before_any_ring(self, capsys, monkeypatch):
+        assert run_cli(capsys, "verify", "--max", "30", "--cap", "30")[0] == 0
+
+        def never(*args):
+            raise AssertionError("no ring may be measured")
+
+        monkeypatch.setattr(zeroprod.verify, "ann_profile", never)
+        code, out, err = run_cli(capsys, "verify", "--max", "1200", "--cap", "1100")
+        assert (code, out) == (3, "")
+        assert "1200 exceeds the enumeration cap 1100" in err
 
     def test_injected_fault_fails_with_named_check(self, capsys, monkeypatch):
         # sabotage the closed form: verification must notice and exit 4

@@ -8,7 +8,15 @@ from zeroprod.graph import (
     export_vertices_csv,
     graph_stats,
 )
-from zeroprod.rings import Caps, Product, Zn, ann_size, zero_divisor_set
+from zeroprod.rings import (
+    Caps,
+    Product,
+    Zn,
+    ann_size,
+    element_mul,
+    zero_divisor_set,
+    zero_element,
+)
 
 
 class TestBuild:
@@ -36,6 +44,29 @@ class TestBuild:
         assert g.vertices == ((0, 1), (1, 0))
         assert g.edges == frozenset({((0, 1), (1, 0))})
         assert g.self_annihilators == frozenset()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Product((Zn(4), Zn(6))),
+            Product((Zn(2), Zn(3), Zn(4))),
+            Product((Zn(4), Product((Zn(2), Zn(3))))),
+            Product((Product((Zn(2), Zn(2))), Zn(6))),
+            Product((Product((Zn(3), Zn(2))), Product((Zn(2), Zn(4))))),
+        ],
+        ids=str,
+    )
+    def test_product_edges_against_pair_loop(self, spec):
+        g = build_graph(spec)
+        zero = zero_element(spec)
+        verts = sorted(zero_divisor_set(spec))
+        assert g.vertices == tuple(verts)
+        assert g.edges == frozenset(
+            (u, v)
+            for i, u in enumerate(verts)
+            for v in verts[i + 1 :]
+            if element_mul(spec, u, v) == zero
+        )
 
     def test_no_loops_and_endpoints_are_vertices(self):
         for n in (6, 8, 12, 16, 30, 72):

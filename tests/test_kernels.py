@@ -1,8 +1,9 @@
 """Kernel correctness against in-test oracles, and compiled/pure parity."""
 
 import itertools
+import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -18,18 +19,56 @@ needs_compiled = pytest.mark.skipif(kc is None, reason="compiled kernels not bui
 _MASK = (1 << 64) - 1
 
 
-def _reference_splitmix64(seed, count):
+def _reference_stream(seed):
     # Written out independently of the library so both backends are
     # checked against the published constants, not against each other.
-    out = []
     state = seed & _MASK
-    for _ in range(count):
+    while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        out.append(z ^ (z >> 31))
-    return out
+        yield z ^ (z >> 31)
+
+
+def _reference_splitmix64(seed, count):
+    return list(itertools.islice(_reference_stream(seed), count))
+
+
+def _reference_mc(n, samples, seed):
+    # Rejection sampling as documented: accept r < 2**64 - (2**64 mod n),
+    # reduce mod n, x before y.
+    limit = (1 << 64) - (1 << 64) % n
+    residues = (r % n for r in _reference_stream(seed) if r < limit)
+    hits = 0
+    for _ in range(samples):
+        x, y = next(residues), next(residues)
+        hits += x * y % n == 0
+    return hits
+
+
+def _brute_pairs(mods):
+    elems = list(itertools.product(*(range(m) for m in mods)))
+    return sum(
+        1
+        for a in elems
+        for b in elems
+        if all(x * y % m == 0 for x, y, m in zip(a, b, mods))
+    )
+
+
+def _brute_edges(mods, verts):
+    return [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if all(x * y % m == 0 for x, y, m in zip(verts[i], verts[j], mods))
+    ]
+
+
+def test_splitmix64_stream_across_blocks():
+    for seed, count in ((0, 0), (3, 1), (_MASK, 1023), (12345, 2500)):
+        assert kpy.splitmix64_stream(seed, count) == _reference_splitmix64(seed, count)
 
 
 def test_splitmix64_reference_vector():
@@ -69,23 +108,35 @@ def test_histogram_mixed_against_oracle():
 
 
 def test_pair_count_zn_against_oracle():
-    for n in (2, 3, 4, 8, 12, 30):
+    for n in range(2, 201):
         oracle = sum(
             1 for x in range(n) for y in range(n) if x * y % n == 0
         )
-        assert kpy.ann_pair_count_zn(n) == oracle
+        assert kpy.ann_pair_count_zn(n) == oracle, n
+    # |Ann(x)| = gcd(x, n) in Z_n, with gcd(0, n) = n
+    assert kpy.ann_pair_count_zn(3600) == sum(gcd(x, 3600) for x in range(3600))
 
 
 def test_pair_count_mixed_against_oracle():
-    for mods in ((2, 2), (2, 3), (4, 9), (3, 3, 3)):
-        elems = list(itertools.product(*(range(m) for m in mods)))
-        oracle = sum(
-            1
-            for a in elems
-            for b in elems
-            if all(x * y % m == 0 for x, y, m in zip(a, b, mods))
-        )
-        assert kpy.ann_pair_count_mixed(mods) == oracle
+    for mods in ((2, 2), (2, 3), (4, 9), (3, 3, 3), (12,), (2, 2, 6)):
+        assert kpy.ann_pair_count_mixed(mods) == _brute_pairs(mods), mods
+
+
+@pytest.mark.parametrize("mods", [(6, 10, 15), (2, 2048), (60, 60), (7,)])
+def test_pair_count_mixed_factorizes_over_components(mods):
+    # a*b = 0 iff every component product is 0, so the count is the
+    # product of the components' counts, each sum_x gcd(x, m).
+    oracle = prod(sum(gcd(x, m) for x in range(m)) for m in mods)
+    assert kpy.ann_pair_count_mixed(mods) == oracle
+
+
+@pytest.mark.parametrize("mods", [(4, 6), (2, 3, 4), (8, 2, 2), (9, 10), (12,)])
+def test_graph_edges_mixed_against_oracle(mods):
+    verts = [v for v in itertools.product(*(range(m) for m in mods)) if any(v)]
+    assert kpy.graph_edges_mixed(mods, verts) == _brute_edges(mods, verts)
+    shuffled = random.Random(len(verts)).sample(verts, len(verts))
+    got = kpy.graph_edges_mixed(mods, shuffled)
+    assert sorted(got) == _brute_edges(mods, shuffled)
 
 
 def test_graph_edges_zn_against_oracle():
@@ -113,6 +164,22 @@ def test_mc_power_of_two_modulus():
     # backends must accept every draw.
     hits = kpy.mc_zero_pairs_zn(2**32, 10, 7)
     assert 0 <= hits <= 10
+
+
+@pytest.mark.parametrize(
+    "n,samples,seed",
+    [
+        (4, 2000, 99),
+        (5, 0, 1),
+        (1234, 3000, 7),
+        (3, 1000, _MASK),
+        (2**32, 500, 3),
+        (2**63 + 1, 2000, 5),  # about half of all draws are rejected
+        (2**64 - 1, 2000, 9),
+    ],
+)
+def test_mc_against_reference_sampler(n, samples, seed):
+    assert kpy.mc_zero_pairs_zn(n, samples, seed) == _reference_mc(n, samples, seed)
 
 
 @needs_compiled

@@ -7,9 +7,10 @@ from concurrent.futures import Future
 import pytest
 
 import zeroprod.cli  # noqa: F401  (loads every module whose bindings are counted)
-from zeroprod import factor, kernels, scan
-from zeroprod.formulas import bounds_report
-from zeroprod.rings import Product, Zn
+from zeroprod import factor, kernels, rings, scan
+from zeroprod.errors import ResourceLimitError
+from zeroprod.formulas import ann_profile_from_factorization, bounds_report
+from zeroprod.rings import Caps, Product, Zn
 from zeroprod.scan import ordered_map, scan_row
 from zeroprod.verify import run_verify
 
@@ -19,7 +20,11 @@ HISTOGRAMS = ("ann_size_histogram_zn", "ann_size_histogram_mixed")
 @pytest.fixture
 def calls(monkeypatch):
     """Count calls through every zeroprod binding of the counted functions."""
-    originals = [getattr(kernels, name) for name in HISTOGRAMS] + [factor.factorize]
+    originals = [getattr(kernels, name) for name in HISTOGRAMS] + [
+        factor.factorize,
+        factor.is_prime,
+        rings.ann_profile,
+    ]
     counts = {fn.__name__: 0 for fn in originals}
     for original in originals:
 
@@ -59,6 +64,21 @@ def test_one_histogram_and_factorization_per_verified_ring(calls):
     assert report.passed and report.rings_checked == 119
     assert _histograms(calls) == 119
     assert calls["factorize"] == 119
+
+
+def test_verify_checks_the_cap_before_any_ring(calls):
+    with pytest.raises(ResourceLimitError):
+        run_verify(1200, Caps(single=1100, pairwise=1100))
+    assert calls["ann_profile"] == 0
+    assert calls["factorize"] == 0
+
+
+@pytest.mark.parametrize("n", [2, 8, 360, 65536, 999983 * 1000003, 2**64 - 1])
+def test_derived_profile_tests_no_prime_again(calls, n):
+    f = factor.factorize(n)
+    calls["is_prime"] = 0
+    ann_profile_from_factorization(f)
+    assert calls["is_prime"] == 0
 
 
 class _CountingPool:
