@@ -3,13 +3,16 @@
 These are the reference semantics for the hot loops: the compiled module
 ``zeroprod._kernels`` must return identical values (see
 tests/test_kernels.py), but several kernels here no longer mirror its
-loops operation for operation.  The product-ring pair count and graph
-edges still test every pair, 64 pairs per machine word: each
-component's zero-product sets are found by enumeration and lifted to
-bitsets over the ring's elements, and an element's zero-product row is
-the AND of its components' bitsets.  The Z_n pair count tests each
-unordered pair once, and Monte Carlo computes its splitmix64 draws a
-block at a time.  Everything here is plain integer arithmetic, so
+loops operation for operation.  The Z_n histogram and pair count work on
+byte tables: the histogram classifies every element with a divisor sieve
+over a bytearray of Z_n, and the pair count still tests every unordered
+pair once, reading one byte of a multiples-of-n table per pair through
+strided slices.  The product-ring pair count and graph edges still test
+every pair, 64 pairs per machine word: each component's zero-product
+sets are found by enumeration and lifted to bitsets over the ring's
+elements, and an element's zero-product row is the AND of its
+components' bitsets.  Monte Carlo computes its splitmix64 draws a block
+at a time.  Everything here is plain integer arithmetic, so
 arbitrary-precision inputs work at the cost of speed.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import sys
 from functools import reduce
 from itertools import chain, compress, islice, product, repeat
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import and_, countOf, getitem, mod, mul, not_
 from struct import Struct
 
@@ -27,6 +30,7 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024  # splitmix64 outputs computed side by side
+_TABLE_BYTES = 1 << 18  # size of the Z_n pair count's multiples table
 
 
 def gcd_sum(n: int) -> int:
@@ -37,13 +41,20 @@ def gcd_sum(n: int) -> int:
 def ann_size_histogram_zn(n: int) -> dict[int, int]:
     """Histogram size -> count of annihilator sizes over all of Z_n.
 
-    In Z_n the annihilator of x has exactly gcd(x, n) elements; x = 0
-    contributes the full ring, size n.
+    In Z_n the annihilator of x has exactly gcd(x, n) elements: the
+    largest divisor of n that divides x.  A divisor sieve classifies
+    every element by that rule: walking the divisors d of n downward,
+    the multiples of d not yet claimed by a larger divisor form class d.
+    x = 0 is claimed first, by d = n, and contributes the full ring.
+    Each class costs two strided byte operations, O(sigma(n)) in all.
     """
-    hist: dict[int, int] = {n: 1}
-    for x in range(1, n):
-        g = gcd(x, n)
-        hist[g] = hist.get(g, 0) + 1
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    divisors = small + [n // d for d in reversed(small) if d * d != n]
+    seen = bytearray(n)
+    hist: dict[int, int] = {}
+    for d in reversed(divisors):
+        hist[d] = seen[::d].count(0)
+        seen[::d] = b"\1" * (n // d)
     return hist
 
 
@@ -76,13 +87,21 @@ def ann_pair_count_zn(n: int) -> int:
     """Ordered pairs (x, y) in Z_n^2 with x*y = 0, by full enumeration.
 
     Multiplication commutes, so each unordered pair is tested once: the
-    count is the diagonal plus twice the strict upper triangle.  Row x
-    reduces x*y for y = x+1..n-1 at C speed.
+    count is the diagonal plus twice the strict upper triangle.  A table
+    of period n holds 1 exactly at the multiples of n, so for y = y0,
+    y0+1, ... the byte at x*y0 mod n + x*(y - y0) decides whether x*y = 0.
+    Row x reads those bytes as strided slices, as many y per slice as the
+    table reaches.
     """
+    table = (b"\1" + bytes(n - 1)) * max(2, _TABLE_BYTES // n)
+    reach = len(table) - n  # a slice starts below n and ends in the table
     diagonal, upper = 1, n - 1  # x = 0 kills every y
     for x in range(1, n):
         diagonal += x * x % n == 0
-        upper += countOf(map(mod, range(x * (x + 1), x * n, x), repeat(n)), 0)
+        block = reach // x + 1
+        for y in range(x + 1, n, block):
+            start = x * y % n
+            upper += table[start : start + x * min(block, n - y) : x].count(1)
     return diagonal + 2 * upper
 
 

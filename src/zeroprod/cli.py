@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import ExitStack
 from fractions import Fraction
 
 from zeroprod import kernels
@@ -276,18 +277,24 @@ def _cmd_graph(args, parser) -> int:
     g = build_graph(spec, caps)
     stats = graph_stats(g)
     dot = export_dot(g)
+    # Every text is built and every path opened before anything is written,
+    # so an unwritable path ends the command with no partial output.
+    files = []
     if args.dot is not None:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-        stats_out = sys.stdout
-    else:
-        sys.stdout.write(dot)
-        stats_out = sys.stderr
+        files.append((args.dot, dot))
     if args.csv is not None:
-        with open(f"{args.csv}.edges.csv", "w", encoding="utf-8") as fh:
-            fh.write(export_edges_csv(g))
-        with open(f"{args.csv}.vertices.csv", "w", encoding="utf-8") as fh:
-            fh.write(export_vertices_csv(g))
+        files.append((f"{args.csv}.edges.csv", export_edges_csv(g)))
+        files.append((f"{args.csv}.vertices.csv", export_vertices_csv(g)))
+    with ExitStack() as stack:
+        handles = [
+            (stack.enter_context(open(path, "w", encoding="utf-8")), text)
+            for path, text in files
+        ]
+        if args.dot is None:
+            sys.stdout.write(dot)
+        for fh, text in handles:
+            fh.write(text)
+    stats_out = sys.stderr if args.dot is None else sys.stdout
     degrees = list(stats.degree_sequence)
     print(
         f"graph {spec}: vertices {stats.vertex_count}, edges {stats.edge_count}, "

@@ -39,16 +39,25 @@ def p_zpk(p: int, k: int) -> Fraction:
         raise InvalidInputError(f"p must be prime, got {p}")
     if as_natural(k, "k") < 1:
         raise InvalidInputError("exponent k must be >= 1")
+    return _zpk_value(p, k)
+
+
+def _zpk_value(p: int, k: int) -> Fraction:
+    # For a prime p that the caller has already checked or proven.
     return rat_make((k + 1) * p - k, p ** (k + 1))
 
 
 def p_zn_from_factorization(f: Factorization) -> Fraction:
-    """Product of the prime-power values across a factorization of n >= 2."""
+    """Product of the prime-power values across a factorization of n >= 2.
+
+    ``f`` is taken as returned by :func:`factorize`, whose primes are
+    proven, so they are not tested again.
+    """
     if not f:
         raise ExcludedRingError(_ZERO_RING)
     out = Fraction(1)
     for p, k in f:
-        out *= p_zpk(p, k)
+        out *= _zpk_value(p, k)
     return out
 
 

@@ -103,25 +103,27 @@ def _dot_id(x) -> str:
 
 def export_dot(g: ZeroDivisorGraph) -> str:
     """Deterministic DOT text; self-annihilators get a node attribute."""
+    ids = {x: _dot_id(x) for x in g.vertices}  # each vertex rendered once
     lines = ["graph zero_divisors {"]
     for x in g.vertices:
         if x in g.self_annihilators:
-            lines.append(f"  {_dot_id(x)} [selfann=true];")
+            lines.append(f"  {ids[x]} [selfann=true];")
         else:
-            lines.append(f"  {_dot_id(x)};")
+            lines.append(f"  {ids[x]};")
     for u, v in sorted(g.edges):
-        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
+        lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_edges_csv(g: ZeroDivisorGraph) -> str:
     """Edge list with header u,v, one row per edge, canonical order."""
+    labels = {x: element_str(x) for x in g.vertices}  # each vertex rendered once
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v"])
     for u, v in sorted(g.edges):
-        writer.writerow([element_str(u), element_str(v)])
+        writer.writerow([labels[u], labels[v]])
     return buf.getvalue()
 
 

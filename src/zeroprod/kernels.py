@@ -3,12 +3,13 @@
 The compiled module is used whenever it imported successfully and every
 intermediate of the requested call fits unsigned 64-bit arithmetic;
 otherwise the call routes to the arbitrary-precision Python twin.  Both
-backends test every pair and return identical values, though several
-Python kernels no longer follow the compiled loops step by step (the
-product kernels work on bitsets, 64 pairs per machine word; see
-``zeroprod._kernels_py``).  ``graph_edges_mixed`` exists only in
-Python.  Set ZEROPROD_PURE=1 to force the Python backend (used by the
-benchmark and by tests that compare the two).
+backends return identical values, though several Python kernels no
+longer follow the compiled loops step by step: the Z_n histogram and
+pair count work on byte tables, and the product kernels on bitsets, 64
+pairs per machine word (see ``zeroprod._kernels_py``).  Every pair count
+still tests every pair.  ``graph_edges_mixed`` exists only in Python.
+Set ZEROPROD_PURE=1 to force the Python backend (used by the benchmark
+and by tests that compare the two).
 """
 
 from __future__ import annotations

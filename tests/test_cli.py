@@ -359,6 +359,17 @@ class TestRejectedInputs:
         assert (code, out) == (1, "")
         assert "seed" in err
 
+    def test_graph_unwritable_output_writes_nothing(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        for argv in (
+            ("graph", "12", "--csv", str(missing / "x")),
+            ("graph", "12", "--dot", str(missing / "g.dot")),
+            ("graph", "12", "--dot", str(tmp_path / "g.dot"), "--csv", str(missing / "x")),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert "i/o error" in err
+
 
 class TestDeterminismAcrossProcesses:
     def _run(self, *args):

@@ -1,5 +1,6 @@
 import pytest
 
+import zeroprod.graph
 from zeroprod.errors import ResourceLimitError
 from zeroprod.graph import (
     build_graph,
@@ -14,6 +15,8 @@ from zeroprod.rings import (
     Zn,
     ann_size,
     element_mul,
+    element_str,
+    parse_ring,
     zero_divisor_set,
     zero_element,
 )
@@ -145,6 +148,21 @@ class TestCsv:
     def test_product_elements_quoted_by_csv_writer(self):
         got = export_edges_csv(build_graph(Product((Zn(2), Zn(2)))))
         assert got == 'u,v\n"(0,1)","(1,0)"\n'
+
+
+@pytest.mark.parametrize("export", [export_dot, export_edges_csv, export_vertices_csv])
+def test_export_renders_each_vertex_once(monkeypatch, export):
+    g = build_graph(parse_ring("Zn(9)xZn(10)xZn(11)"))
+    before = export(g)
+    rendered = []
+
+    def counted(x):
+        rendered.append(x)
+        return element_str(x)
+
+    monkeypatch.setattr(zeroprod.graph, "element_str", counted)
+    assert export(g) == before
+    assert sorted(rendered) == list(g.vertices)
 
 
 class TestIdentities:

@@ -1,5 +1,6 @@
 """Kernel correctness against in-test oracles, and compiled/pure parity."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -90,10 +91,12 @@ def test_gcd_sum_against_oracle():
 
 
 def test_histogram_zn_against_oracle():
-    for n in (2, 3, 8, 12, 97, 360):
+    # Beyond every n to 3000: a prime, a prime power and highly
+    # composite n (tau = 120, 240, 256).
+    for n in [*range(2, 3001), 65521, 65536, 55440, 720720, 1081080]:
         oracle = Counter(gcd(x, n) for x in range(1, n))
         oracle[n] += 1
-        assert kpy.ann_size_histogram_zn(n) == dict(oracle)
+        assert kpy.ann_size_histogram_zn(n) == dict(oracle), n
 
 
 def test_histogram_mixed_against_oracle():
@@ -107,14 +110,25 @@ def test_histogram_mixed_against_oracle():
         assert kpy.ann_size_histogram_mixed(mods) == dict(oracle)
 
 
+@functools.cache
+def _brute_pairs_zn(n):
+    return sum(1 for x in range(n) for y in range(n) if x * y % n == 0)
+
+
 def test_pair_count_zn_against_oracle():
-    for n in range(2, 201):
-        oracle = sum(
-            1 for x in range(n) for y in range(n) if x * y % n == 0
-        )
-        assert kpy.ann_pair_count_zn(n) == oracle, n
+    for n in range(2, 301):
+        assert kpy.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
     # |Ann(x)| = gcd(x, n) in Z_n, with gcd(0, n) = n
-    assert kpy.ann_pair_count_zn(3600) == sum(gcd(x, 3600) for x in range(3600))
+    for n in (2048, 3600, 3607, 4096):
+        assert kpy.ann_pair_count_zn(n) == sum(gcd(x, n) for x in range(n)), n
+
+
+def test_pair_count_zn_across_table_windows(monkeypatch):
+    # A table of two periods makes rows split into slices of a few y,
+    # so slice boundaries fall inside nearly every row.
+    monkeypatch.setattr(kpy, "_TABLE_BYTES", 4)
+    for n in range(2, 301):
+        assert kpy.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
 
 
 def test_pair_count_mixed_against_oracle():

@@ -81,6 +81,13 @@ def test_derived_profile_tests_no_prime_again(calls, n):
     assert calls["is_prime"] == 0
 
 
+def test_closed_form_tests_no_prime_again(calls):
+    # The only primality tests are the ones factorize makes.
+    for n in range(30000, 30024):
+        scan_row(n)
+    assert calls["is_prime"] == 23
+
+
 class _CountingPool:
     """Synchronous stand-in for ProcessPoolExecutor that counts submissions
     and records the pool sizes asked for."""
