@@ -39,15 +39,6 @@ def rat_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_parse(text: str) -> Rational:
-    """Inverse of :func:`rat_str`; also accepts a bare integer."""
-    text = text.strip()
-    if "/" in text:
-        num_s, den_s = text.split("/", 1)
-        return rat_make(int(num_s), int(den_s))
-    return rat_make(int(text), 1)
-
-
 def rat_decimal(q: Rational, digits: int = 6) -> str:
     """Fixed-point decimal rendering with ``digits`` fractional digits.
 

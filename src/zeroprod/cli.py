@@ -17,7 +17,8 @@ import csv
 import json
 import os
 import sys
-from contextlib import ExitStack
+import tempfile
+from contextlib import suppress
 from fractions import Fraction
 
 from zeroprod import kernels
@@ -271,29 +272,50 @@ def _cmd_montecarlo(args, parser) -> int:
     return EXIT_OK
 
 
+def _write_files(files: list[tuple[str, str]]) -> None:
+    """Write each (path, text), touching no path unless every text was written.
+
+    Each text goes to a temporary file beside its target, and the
+    temporaries replace their targets only after all of them are written.
+    On any error the temporaries left over are removed.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    pending = []
+    try:
+        for path, text in files:
+            folder, name = os.path.split(path)
+            fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder or ".")
+            pending.append((tmp, path))
+            with open(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+                fh.write(text)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
+    finally:
+        for tmp, _ in pending:
+            with suppress(OSError):
+                os.unlink(tmp)
+
+
 def _cmd_graph(args, parser) -> int:
     caps = _resolve_caps(args.cap)
     spec = _target_spec(args, parser)
     g = build_graph(spec, caps)
     stats = graph_stats(g)
     dot = export_dot(g)
-    # Every text is built and every path opened before anything is written,
-    # so an unwritable path ends the command with no partial output.
+    # Every file is written before stdout, so an unwritable path ends the
+    # command with no partial output and every existing file intact.
     files = []
     if args.dot is not None:
         files.append((args.dot, dot))
     if args.csv is not None:
         files.append((f"{args.csv}.edges.csv", export_edges_csv(g)))
         files.append((f"{args.csv}.vertices.csv", export_vertices_csv(g)))
-    with ExitStack() as stack:
-        handles = [
-            (stack.enter_context(open(path, "w", encoding="utf-8")), text)
-            for path, text in files
-        ]
-        if args.dot is None:
-            sys.stdout.write(dot)
-        for fh, text in handles:
-            fh.write(text)
+    _write_files(files)
+    if args.dot is None:
+        sys.stdout.write(dot)
     stats_out = sys.stderr if args.dot is None else sys.stdout
     degrees = list(stats.degree_sequence)
     print(

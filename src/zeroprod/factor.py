@@ -160,14 +160,6 @@ def factorize(n: int) -> Factorization:
     return sorted(factors.items())
 
 
-def factorization_product(f: Factorization) -> int:
-    """The integer a factorization stands for (1 for the empty list)."""
-    out = 1
-    for p, k in f:
-        out *= p**k
-    return out
-
-
 def factorization_str(f: Factorization) -> str:
     """Text form "p1^k1 * p2^k2 * ..."; "1" for the empty factorization."""
     if not f:

@@ -48,9 +48,6 @@ class ZeroDivisorGraph:
     edges: frozenset
     self_annihilators: frozenset
 
-    def degree(self, x) -> int:
-        return sum(1 for u, v in self.edges if u == x or v == x)
-
 
 def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     """Construct the graph by enumerating vertex pairs (O(|Z(R)|^2))."""

@@ -361,14 +361,20 @@ class TestRejectedInputs:
 
     def test_graph_unwritable_output_writes_nothing(self, capsys, tmp_path):
         missing = tmp_path / "missing"
+        dot = tmp_path / "g.dot"
+        dot.write_bytes(b"earlier export\n")
         for argv in (
             ("graph", "12", "--csv", str(missing / "x")),
             ("graph", "12", "--dot", str(missing / "g.dot")),
-            ("graph", "12", "--dot", str(tmp_path / "g.dot"), "--csv", str(missing / "x")),
+            ("graph", "12", "--dot", str(dot), "--csv", str(missing / "x")),
+            ("graph", "12", "--csv", str(tmp_path / "x"), "--dot", str(missing / "g.dot")),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert "i/o error" in err
+            # an existing file keeps its bytes and no temporary file is left
+            assert dot.read_bytes() == b"earlier export\n"
+            assert [p.name for p in tmp_path.iterdir()] == ["g.dot"]
 
 
 class TestDeterminismAcrossProcesses:
@@ -396,7 +402,7 @@ class TestDeterminismAcrossProcesses:
 def test_backend_flag(capsys):
     code, out, _ = run_cli(capsys, "--backend")
     assert code == 0
-    assert out.strip().startswith("kernel backend:")
+    assert out == "kernel backend: python\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

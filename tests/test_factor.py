@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from zeroprod.errors import ContractViolationError, InvalidInputError
 from zeroprod.factor import (
     factorization_json,
-    factorization_product,
     factorization_str,
     factorize,
     find_nontrivial_factor,
@@ -97,13 +96,13 @@ def test_factorize_invariants_on_structure():
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(is_prime(p) for p in primes)
         assert all(k >= 1 for _, k in f)
-        assert factorization_product(f) == n
+        assert math.prod(p**k for p, k in f) == n
 
 
 @settings(max_examples=200)
 @given(st.integers(1, 10**12))
 def test_factorize_reconstructs(n):
-    assert factorization_product(factorize(n)) == n
+    assert math.prod(p**k for p, k in factorize(n)) == n
 
 
 def test_factorize_smooth_above_64_bits():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import zeroprod.graph
@@ -177,9 +179,10 @@ class TestIdentities:
     def test_degree_identity(self):
         for n in (6, 8, 12, 24, 36, 100):
             g = build_graph(Zn(n))
+            degree = Counter(x for edge in g.edges for x in edge)
             for x in g.vertices:
                 expected = ann_size(Zn(n), x) - 1 - (1 if x in g.self_annihilators else 0)
-                assert g.degree(x) == expected
+                assert degree[x] == expected
 
     def test_vertex_count_for_prime_powers(self):
         for p in (2, 3, 5):

@@ -1,4 +1,4 @@
-"""Kernel correctness against in-test oracles, and compiled/pure parity."""
+"""Kernel correctness against in-test oracles written out independently."""
 
 import functools
 import itertools
@@ -8,21 +8,14 @@ from math import gcd, prod
 
 import pytest
 
-from zeroprod import _kernels_py as kpy
-
-try:
-    from zeroprod import _kernels as kc
-except ImportError:
-    kc = None
-
-needs_compiled = pytest.mark.skipif(kc is None, reason="compiled kernels not built")
+from zeroprod import kernels
 
 _MASK = (1 << 64) - 1
 
 
 def _reference_stream(seed):
-    # Written out independently of the library so both backends are
-    # checked against the published constants, not against each other.
+    # Written out independently of the library, so the kernels are
+    # checked against the published constants, not against themselves.
     state = seed & _MASK
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK
@@ -67,9 +60,15 @@ def _brute_edges(mods, verts):
     ]
 
 
+def _block_stream(seed, count, width):
+    blocks = kernels._splitmix64_blocks(seed, width)
+    return list(itertools.islice(itertools.chain.from_iterable(blocks), count))
+
+
 def test_splitmix64_stream_across_blocks():
     for seed, count in ((0, 0), (3, 1), (_MASK, 1023), (12345, 2500)):
-        assert kpy.splitmix64_stream(seed, count) == _reference_splitmix64(seed, count)
+        expected = _reference_splitmix64(seed, count)
+        assert _block_stream(seed, count, min(kernels._BLOCK, count)) == expected
 
 
 def test_splitmix64_reference_vector():
@@ -81,13 +80,13 @@ def test_splitmix64_reference_vector():
         0xF88BB8A8724C81EC,
         0x1B39896A51A8749B,
     ]
-    assert kpy.splitmix64_stream(0, 5) == expected
+    assert _block_stream(0, 5, 5) == expected
     assert _reference_splitmix64(0, 5) == expected
 
 
 def test_gcd_sum_against_oracle():
     for n in list(range(1, 200)) + [720, 1024, 4096]:
-        assert kpy.gcd_sum(n) == n + sum(gcd(x, n) for x in range(1, n))
+        assert kernels.gcd_sum(n) == n + sum(gcd(x, n) for x in range(1, n))
 
 
 def test_histogram_zn_against_oracle():
@@ -96,7 +95,7 @@ def test_histogram_zn_against_oracle():
     for n in [*range(2, 3001), 65521, 65536, 55440, 720720, 1081080]:
         oracle = Counter(gcd(x, n) for x in range(1, n))
         oracle[n] += 1
-        assert kpy.ann_size_histogram_zn(n) == dict(oracle), n
+        assert kernels.ann_size_histogram_zn(n) == dict(oracle), n
 
 
 def test_histogram_mixed_against_oracle():
@@ -107,7 +106,7 @@ def test_histogram_mixed_against_oracle():
             for x, m in zip(elem, mods):
                 size *= gcd(x, m)
             oracle[size] += 1
-        assert kpy.ann_size_histogram_mixed(mods) == dict(oracle)
+        assert kernels.ann_size_histogram_mixed(mods) == dict(oracle)
 
 
 @functools.cache
@@ -117,23 +116,23 @@ def _brute_pairs_zn(n):
 
 def test_pair_count_zn_against_oracle():
     for n in range(2, 301):
-        assert kpy.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
+        assert kernels.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
     # |Ann(x)| = gcd(x, n) in Z_n, with gcd(0, n) = n
     for n in (2048, 3600, 3607, 4096):
-        assert kpy.ann_pair_count_zn(n) == sum(gcd(x, n) for x in range(n)), n
+        assert kernels.ann_pair_count_zn(n) == sum(gcd(x, n) for x in range(n)), n
 
 
 def test_pair_count_zn_across_table_windows(monkeypatch):
     # A table of two periods makes rows split into slices of a few y,
     # so slice boundaries fall inside nearly every row.
-    monkeypatch.setattr(kpy, "_TABLE_BYTES", 4)
+    monkeypatch.setattr(kernels, "_TABLE_BYTES", 4)
     for n in range(2, 301):
-        assert kpy.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
+        assert kernels.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
 
 
 def test_pair_count_mixed_against_oracle():
     for mods in ((2, 2), (2, 3), (4, 9), (3, 3, 3), (12,), (2, 2, 6)):
-        assert kpy.ann_pair_count_mixed(mods) == _brute_pairs(mods), mods
+        assert kernels.ann_pair_count_mixed(mods) == _brute_pairs(mods), mods
 
 
 @pytest.mark.parametrize("mods", [(6, 10, 15), (2, 2048), (60, 60), (7,)])
@@ -141,15 +140,15 @@ def test_pair_count_mixed_factorizes_over_components(mods):
     # a*b = 0 iff every component product is 0, so the count is the
     # product of the components' counts, each sum_x gcd(x, m).
     oracle = prod(sum(gcd(x, m) for x in range(m)) for m in mods)
-    assert kpy.ann_pair_count_mixed(mods) == oracle
+    assert kernels.ann_pair_count_mixed(mods) == oracle
 
 
 @pytest.mark.parametrize("mods", [(4, 6), (2, 3, 4), (8, 2, 2), (9, 10), (12,)])
 def test_graph_edges_mixed_against_oracle(mods):
     verts = [v for v in itertools.product(*(range(m) for m in mods)) if any(v)]
-    assert kpy.graph_edges_mixed(mods, verts) == _brute_edges(mods, verts)
+    assert kernels.graph_edges_mixed(mods, verts) == _brute_edges(mods, verts)
     shuffled = random.Random(len(verts)).sample(verts, len(verts))
-    got = kpy.graph_edges_mixed(mods, shuffled)
+    got = kernels.graph_edges_mixed(mods, shuffled)
     assert sorted(got) == _brute_edges(mods, shuffled)
 
 
@@ -162,21 +161,21 @@ def test_graph_edges_zn_against_oracle():
             for j in range(i + 1, len(verts))
             if verts[i] * verts[j] % n == 0
         ]
-        assert kpy.graph_edges_zn(n, verts) == oracle
+        assert kernels.graph_edges_zn(n, verts) == oracle
 
 
 def test_mc_determinism_and_sanity():
-    a = kpy.mc_zero_pairs_zn(4, 2000, 99)
-    b = kpy.mc_zero_pairs_zn(4, 2000, 99)
+    a = kernels.mc_zero_pairs_zn(4, 2000, 99)
+    b = kernels.mc_zero_pairs_zn(4, 2000, 99)
     assert a == b
     # P(Z_4) = 1/2; 2000 samples cannot plausibly stray to the extremes
     assert 700 < a < 1300
 
 
 def test_mc_power_of_two_modulus():
-    # 2**32 divides 2**64, so the rejection threshold degenerates; both
-    # backends must accept every draw.
-    hits = kpy.mc_zero_pairs_zn(2**32, 10, 7)
+    # 2**32 divides 2**64, so the rejection threshold degenerates and
+    # every draw must be accepted.
+    hits = kernels.mc_zero_pairs_zn(2**32, 10, 7)
     assert 0 <= hits <= 10
 
 
@@ -193,38 +192,4 @@ def test_mc_power_of_two_modulus():
     ],
 )
 def test_mc_against_reference_sampler(n, samples, seed):
-    assert kpy.mc_zero_pairs_zn(n, samples, seed) == _reference_mc(n, samples, seed)
-
-
-@needs_compiled
-class TestCompiledParity:
-    def test_splitmix64(self):
-        for seed in (0, 1, 42, (1 << 64) - 1):
-            assert kc.splitmix64_stream(seed, 64) == kpy.splitmix64_stream(seed, 64)
-
-    def test_gcd_sum(self):
-        for n in (1, 2, 97, 1024, 99991):
-            assert kc.gcd_sum(n) == kpy.gcd_sum(n)
-
-    def test_histograms(self):
-        for n in (2, 8, 97, 5040):
-            assert kc.ann_size_histogram_zn(n) == kpy.ann_size_histogram_zn(n)
-        for mods in ((2, 2), (4, 9), (2, 3, 5), (16, 16)):
-            assert kc.ann_size_histogram_mixed(mods) == kpy.ann_size_histogram_mixed(mods)
-
-    def test_pair_counts(self):
-        for n in (2, 8, 60, 97):
-            assert kc.ann_pair_count_zn(n) == kpy.ann_pair_count_zn(n)
-        for mods in ((2, 2), (2, 3), (4, 9), (3, 3, 3)):
-            assert kc.ann_pair_count_mixed(mods) == kpy.ann_pair_count_mixed(mods)
-
-    def test_graph_edges(self):
-        for n in (6, 8, 12, 360):
-            verts = [x for x in range(1, n) if gcd(x, n) > 1]
-            assert kc.graph_edges_zn(n, verts) == kpy.graph_edges_zn(n, verts)
-
-    def test_mc(self):
-        for n, samples, seed in ((4, 5000, 1), (100, 20000, 12345), (2**32, 100, 3)):
-            assert kc.mc_zero_pairs_zn(n, samples, seed) == kpy.mc_zero_pairs_zn(
-                n, samples, seed
-            )
+    assert kernels.mc_zero_pairs_zn(n, samples, seed) == _reference_mc(n, samples, seed)
