@@ -5,16 +5,16 @@ nothing downstream ever rounds.  Python integers are already arbitrary
 precision, so naturals are plain ``int`` values (validated nonnegative) and
 rationals are ``fractions.Fraction`` (reduced at construction, structural
 equality).  Ring orders near 2**64 square comfortably within ``int``.
+Histograms of naturals are ``{value: count}`` dicts.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 
 from zeroprod.errors import InvalidInputError, ZeroDenominatorError
-
-Rational = Fraction
 
 
 def as_natural(value, name: str = "value") -> int:
@@ -26,7 +26,30 @@ def as_natural(value, name: str = "value") -> int:
     return value
 
 
-def rat_make(num: int, den: int) -> Rational:
+def histogram_product(hists: Iterable[dict[int, int]]) -> dict[int, int]:
+    """Histogram of the products a1*a2*... of independent factors, the
+    i-th drawn from the values that the i-th histogram counts.
+
+    This is the multiplicative convolution.  Annihilator sizes multiply
+    across direct-product components and across the prime-power
+    components of Z_n, so a ring's size histogram is the product of its
+    components': the measured and the derived histograms are both built
+    here.  One histogram is returned as it is; none give the empty
+    product {1: 1}.
+    """
+    hists = iter(hists)
+    out = next(hists, {1: 1})
+    for hist in hists:
+        step: dict[int, int] = {}
+        for a, ca in out.items():
+            for b, cb in hist.items():
+                ab = a * b
+                step[ab] = step.get(ab, 0) + ca * cb
+        out = step
+    return out
+
+
+def rat_make(num: int, den: int) -> Fraction:
     """Build the reduced fraction num/den.  den must be >= 1."""
     as_natural(num, "numerator")
     if as_natural(den, "denominator") == 0:
@@ -34,12 +57,12 @@ def rat_make(num: int, den: int) -> Rational:
     return Fraction(num, den)
 
 
-def rat_str(q: Rational) -> str:
+def rat_str(q: Fraction) -> str:
     """Canonical "num/den" text, denominator always present."""
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_decimal(q: Rational, digits: int = 6) -> str:
+def rat_decimal(q: Fraction, digits: int = 6) -> str:
     """Fixed-point decimal rendering with ``digits`` fractional digits.
 
     Rounds half up via integer arithmetic, so the result is deterministic
@@ -57,7 +80,7 @@ def rat_decimal(q: Rational, digits: int = 6) -> str:
     return f"{whole}.{frac:0{digits}d}"
 
 
-def sqrt_decimal(q: Rational, digits: int = 6) -> str:
+def sqrt_decimal(q: Fraction, digits: int = 6) -> str:
     """Fixed-point decimal of sqrt(q), truncated to ``digits`` digits.
 
     Used for standard-error reporting; exact integer square root keeps the

@@ -10,7 +10,6 @@ rho, driven by a fixed parameter schedule so repeated runs are identical.
 
 from __future__ import annotations
 
-import json
 import math
 
 from zeroprod.arith import as_natural
@@ -165,8 +164,3 @@ def factorization_str(f: Factorization) -> str:
     if not f:
         return "1"
     return " * ".join(f"{p}^{k}" for p, k in f)
-
-
-def factorization_json(f: Factorization) -> str:
-    """JSON array of [prime, exponent] pairs."""
-    return json.dumps([[p, k] for p, k in f])

@@ -13,11 +13,11 @@ Everything below returns exact reduced fractions.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from zeroprod.arith import as_natural, rat_decimal, rat_make, rat_str
+from zeroprod.arith import as_natural, histogram_product, rat_decimal, rat_make, rat_str
 from zeroprod.errors import ExcludedRingError, InvalidInputError
 from zeroprod.factor import Factorization, factorize, is_prime
 from zeroprod.rings import (
@@ -191,15 +191,8 @@ def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
     """
     if not f:
         raise ExcludedRingError(_ZERO_RING)
-    hist, order = {1: 1}, 1
-    for p, k in f:
-        component = _zpk_histogram(p, k)
-        out = Counter()
-        for a, ca in hist.items():
-            for b, cb in component.items():
-                out[a * b] += ca * cb
-        hist, order = out, order * p**k
-    return AnnProfile.from_histogram(hist, order)
+    hist = histogram_product(_zpk_histogram(p, k) for p, k in f)
+    return AnnProfile.from_histogram(hist, prod(p**k for p, k in f))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Enumeration kernels: the hot loops behind the measured oracles.
 
-The pair counts and graph edges test every pair and the histograms
-classify every element, so ``verify``, ``--paranoid``, ``graph`` and
+The pair counts and graph edges test every pair and the Z_n histogram
+classifies every element, so ``verify``, ``--paranoid``, ``graph`` and
 ``montecarlo`` measure what the closed forms predict instead of
 repeating them.  The Z_n histogram is a divisor sieve over a bytearray
-of Z_n, and the Z_n pair count tests every unordered pair once, reading
-one byte of a multiples-of-n table per pair through strided slices.  The
-product-ring pair count and graph edges test every pair, 64 pairs per
+of Z_n; a product ring's histogram is the product
+(:func:`zeroprod.arith.histogram_product`) of its components' sieve
+histograms, so the ring's elements are never walked.  The Z_n pair
+count tests every unordered pair once, reading one byte of a
+multiples-of-n table per pair through strided slices.  The product-ring
+pair count and graph edges test every pair, 64 pairs per
 machine word: each component's zero-product sets are found by
 enumeration and lifted to bitsets over the ring's elements, and an
 element's zero-product row is the AND of its components' bitsets.
@@ -26,6 +29,8 @@ from itertools import chain, compress, islice, product, repeat
 from math import gcd, isqrt, prod
 from operator import and_, countOf, getitem, mod, mul, not_
 from struct import Struct
+
+from zeroprod.arith import histogram_product
 
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -68,26 +73,10 @@ def ann_size_histogram_zn(n: int) -> dict[int, int]:
 def ann_size_histogram_mixed(mods: tuple[int, ...]) -> dict[int, int]:
     """Annihilator-size histogram for Z_{m1} x ... x Z_{mr}.
 
-    Componentwise, |Ann(x)| is the product of the per-component gcds.
-    Elements are walked in lexicographic (odometer) order.
+    Componentwise, |Ann(x)| is the product of the per-component sizes, so
+    the histogram is the product of the components' sieve histograms.
     """
-    r = len(mods)
-    digits = [0] * r
-    total = 1
-    for m in mods:
-        total *= m
-    hist: dict[int, int] = {}
-    for _ in range(total):
-        size = 1
-        for t in range(r):
-            size *= gcd(digits[t], mods[t])
-        hist[size] = hist.get(size, 0) + 1
-        for t in range(r - 1, -1, -1):
-            digits[t] += 1
-            if digits[t] < mods[t]:
-                break
-            digits[t] = 0
-    return hist
+    return histogram_product(map(ann_size_histogram_zn, mods))
 
 
 def ann_pair_count_zn(n: int) -> int:

@@ -291,14 +291,12 @@ class AnnProfile:
 def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
     """Measure the annihilator profile of the ring in one kernel pass.
 
-    This is the only caller of the annihilator-histogram kernels: every
-    measured k, m and zero-product count in the package comes from here.
+    This is the only caller of the annihilator-histogram kernel, which
+    takes Z_n as a one-leaf product: every measured k, m and
+    zero-product count in the package comes from here.
     """
     order = _require_single(spec, caps)
-    if isinstance(spec, Zn):
-        hist = kernels.ann_size_histogram_zn(spec.n)
-    else:
-        hist = kernels.ann_size_histogram_mixed(leaf_moduli(spec))
+    hist = kernels.ann_size_histogram_mixed(leaf_moduli(spec))
     return AnnProfile.from_histogram(hist, order)
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from zeroprod.errors import ContractViolationError, InvalidInputError
 from zeroprod.factor import (
-    factorization_json,
     factorization_str,
     factorize,
     find_nontrivial_factor,
@@ -139,4 +138,3 @@ def test_serializations():
     f = factorize(12)
     assert factorization_str(f) == "2^2 * 3^1"
     assert factorization_str([]) == "1"
-    assert factorization_json(f) == "[[2, 2], [3, 1]]"

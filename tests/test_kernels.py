@@ -99,14 +99,19 @@ def test_histogram_zn_against_oracle():
 
 
 def test_histogram_mixed_against_oracle():
-    for mods in ((2, 2), (4, 9), (2, 3, 5), (8, 8)):
+    for mods in ((2, 2), (4, 9), (2, 3, 5), (8, 8), (60, 60), (2, 2048), (9, 10, 11), (12,)):
         oracle = Counter()
         for elem in itertools.product(*(range(m) for m in mods)):
             size = 1
             for x, m in zip(elem, mods):
                 size *= gcd(x, m)
             oracle[size] += 1
-        assert kernels.ann_size_histogram_mixed(mods) == dict(oracle)
+        assert kernels.ann_size_histogram_mixed(mods) == dict(oracle), mods
+
+
+def test_histogram_mixed_one_leaf_is_the_sieve():
+    for n in [*range(2, 301), 65536, 720720]:
+        assert kernels.ann_size_histogram_mixed((n,)) == kernels.ann_size_histogram_zn(n), n
 
 
 @functools.cache

@@ -42,27 +42,38 @@ def calls(monkeypatch):
 
 
 def _histograms(counts):
-    return sum(counts[name] for name in HISTOGRAMS)
+    """(ring histograms, Z_n sieve histograms) measured so far."""
+    return counts["ann_size_histogram_mixed"], counts["ann_size_histogram_zn"]
 
 
 @pytest.mark.parametrize("n", [2, 7, 12, 360, 4096])
 def test_one_histogram_per_scan_row(calls, n):
     """Scan rows are derived from the factorization: no histogram at all."""
     scan_row(n)
-    assert _histograms(calls) == 0
+    assert _histograms(calls) == (0, 0)
     assert calls["factorize"] == 1
 
 
-@pytest.mark.parametrize("spec", [Zn(2), Zn(8), Zn(360), Product((Zn(4), Zn(9)))])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Zn(2),
+        Zn(8),
+        Zn(360),
+        Product((Zn(4), Zn(9))),
+        Product((Zn(2), Product((Zn(3), Zn(4))))),
+    ],
+)
 def test_one_histogram_per_bounds_report(calls, spec):
+    """One ring histogram, made of one sieve histogram per Z_n leaf."""
     bounds_report(spec)
-    assert _histograms(calls) == 1
+    assert _histograms(calls) == (1, str(spec).count("Zn"))
 
 
 def test_one_histogram_and_factorization_per_verified_ring(calls):
     report = run_verify(120, pairwise_bound=50)
     assert report.passed and report.rings_checked == 119
-    assert _histograms(calls) == 119
+    assert _histograms(calls) == (119, 119)
     assert calls["factorize"] == 119
 
 
