@@ -4,8 +4,11 @@ Every probability and bound in this package is an exact reduced fraction;
 nothing downstream ever rounds.  Python integers are already arbitrary
 precision, so naturals are plain ``int`` values (validated nonnegative) and
 rationals are ``fractions.Fraction`` (reduced at construction, structural
-equality).  Ring orders near 2**64 square comfortably within ``int``.
-Histograms of naturals are ``{value: count}`` dicts.
+equality).  Hot paths that make one rational per row, such as range
+scans, keep it as a reduced integer pair ``(num, den)`` instead, and render
+it with :func:`ratio_str` and :func:`ratio_decimal`, which the ``Fraction``
+renderers share.  Ring orders near 2**64 square comfortably within
+``int``.  Histograms of naturals are ``{value: count}`` dicts.
 """
 
 from __future__ import annotations
@@ -57,27 +60,38 @@ def rat_make(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def ratio_str(num: int, den: int) -> str:
+    """Canonical "num/den" text of a reduced pair, denominator always present."""
+    return f"{num}/{den}"
+
+
 def rat_str(q: Fraction) -> str:
     """Canonical "num/den" text, denominator always present."""
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_str(q.numerator, q.denominator)
 
 
-def rat_decimal(q: Fraction, digits: int = 6) -> str:
-    """Fixed-point decimal rendering with ``digits`` fractional digits.
+def ratio_decimal(num: int, den: int, digits: int = 6) -> str:
+    """Fixed-point decimal rendering of num/den (den >= 1) with ``digits``
+    fractional digits.
 
     Rounds half up via integer arithmetic, so the result is deterministic
     across platforms and never passes through floating point.
     """
     if digits < 0:
         raise InvalidInputError("digits must be nonnegative")
-    if q < 0:
+    if num < 0:
         raise InvalidInputError("negative rationals are not rendered here")
     scale = 10**digits
-    scaled = (2 * q.numerator * scale + q.denominator) // (2 * q.denominator)
+    scaled = (2 * num * scale + den) // (2 * den)
     whole, frac = divmod(scaled, scale)
     if digits == 0:
         return str(whole)
     return f"{whole}.{frac:0{digits}d}"
+
+
+def rat_decimal(q: Fraction, digits: int = 6) -> str:
+    """:func:`ratio_decimal` of a ``Fraction``."""
+    return ratio_decimal(q.numerator, q.denominator, digits)
 
 
 def sqrt_decimal(q: Fraction, digits: int = 6) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from contextlib import suppress
 from fractions import Fraction
 
 from zeroprod import kernels
-from zeroprod.arith import rat_decimal, rat_str, sqrt_decimal
+from zeroprod.arith import rat_decimal, rat_str, ratio_decimal, ratio_str, sqrt_decimal
 from zeroprod.errors import (
     ExcludedRingError,
     InvalidInputError,
@@ -166,10 +167,10 @@ def _scan_record(row, digits: int) -> dict:
     return {
         "n": row.n,
         "factorization": row.factorization_text,
-        "p": rat_str(row.exact),
-        "p_decimal": rat_decimal(row.exact, digits),
-        "lower": rat_str(row.lower),
-        "upper": rat_str(row.upper),
+        "p": ratio_str(*row.exact),
+        "p_decimal": ratio_decimal(*row.exact, digits),
+        "lower": ratio_str(*row.lower),
+        "upper": ratio_str(*row.upper),
         "zcount": row.zcount,
         "maxann": row.maxann,
         "bounds_hold": row.bounds_hold,
@@ -202,6 +203,11 @@ def _write_scan_table(record: dict, first: bool) -> None:
     print(_SCAN_LINE.format(**{**record, "maxann": maxann, "bounds_hold": holds}))
 
 
+def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """a < b for reduced (num, den) pairs with den >= 1."""
+    return a[0] * b[1] < b[0] * a[1]
+
+
 def _cmd_scan(args, parser) -> int:
     if args.lo < 2 or args.lo > args.hi:
         parser.error(f"need 2 <= LO <= HI, got {args.lo} {args.hi}")
@@ -212,13 +218,17 @@ def _cmd_scan(args, parser) -> int:
         "table": _write_scan_table,
     }[args.format]
     all_hold, min_row, max_row = True, None, None
-    for count, row in enumerate(scan_rows(args.lo, args.hi, jobs=args.jobs), 1):
+    for count, row in enumerate(scan_rows(args.lo, args.hi), 1):
         write(_scan_record(row, args.digits), first=count == 1)
         all_hold &= row.bounds_hold
         # min and max keep the earlier row on ties, so the lowest such n.
-        min_row = min(min_row or row, row, key=lambda r: r.exact)
-        max_row = max(max_row or row, row, key=lambda r: r.exact)
-    min_p, max_p = rat_str(min_row.exact), rat_str(max_row.exact)
+        if min_row is None:
+            min_row = max_row = row
+        elif _less(row.exact, min_row.exact):
+            min_row = row
+        elif _less(max_row.exact, row.exact):
+            max_row = row
+    min_p, max_p = ratio_str(*min_row.exact), ratio_str(*max_row.exact)
     if args.format == "json":
         summary = dict(
             rows=count, min_p=min_p, min_n=min_row.n, max_p=max_p, max_n=max_row.n,
@@ -326,7 +336,7 @@ def _cmd_graph(args, parser) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs=False):
+def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs_help=None):
     if fmt:
         sub.add_argument(
             "--format",
@@ -349,13 +359,8 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs=False):
             help="override both enumeration caps, >= 2 (default: 65536 "
             "single, 4096 pairwise; env ZEROPROD_CAP)",
         )
-    if jobs:
-        sub.add_argument(
-            "--jobs",
-            type=_int_at_least(1),
-            default=1,
-            help="worker processes; affects wall time only, never output",
-        )
+    if jobs_help is not None:
+        sub.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
 
 
 def build_parser() -> _Parser:
@@ -387,7 +392,7 @@ def build_parser() -> _Parser:
     s = subs.add_parser("scan", help="per-n table over a range")
     s.add_argument("lo", type=int)
     s.add_argument("hi", type=int)
-    _add_common(s, cap=False, jobs=True)
+    _add_common(s, cap=False, jobs_help="accepted and ignored: a scan runs in one process")
 
     v = subs.add_parser("verify", help="run the oracle/bounds suites")
     v.add_argument("--max", type=int, required=True, help="check all n in [2, MAX]")
@@ -396,7 +401,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help=f"pair-enumerate up to the cap instead of {PAIRWISE_ORACLE_BOUND}",
     )
-    _add_common(v, fmt=False, digits=False, jobs=True)
+    _add_common(
+        v,
+        fmt=False,
+        digits=False,
+        jobs_help="worker processes; affects wall time only, never output",
+    )
 
     m = subs.add_parser("montecarlo", help="seeded sampling experiment")
     m.add_argument("n", type=int, help="modulus n >= 2")
@@ -429,8 +439,14 @@ _HANDLERS = {
 }
 
 
+# Built on the first call and reused: parsing leaves no state in the
+# parser, and building one makes a cyclic object graph that only the
+# garbage collector frees.  Never built at import.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.backend:
         print(f"kernel backend: {kernels.backend()}")

@@ -130,33 +130,47 @@ def find_nontrivial_factor(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Complete prime factorization of n >= 1, primes ascending.
 
-    Cofactors that survive trial division must fit the 64-bit primality
-    test; anything larger is rejected rather than factored heuristically.
+    Trial division stops at the first prime p with p^2 > n: what is left
+    then has no prime factor below p, so it is 1 or a prime, and no
+    primality test runs.  Only a cofactor that outlasts the trial primes
+    is tested and split; it must fit the 64-bit primality test, and
+    anything larger is rejected rather than factored heuristically.
     """
     if as_natural(n, "n") == 0:
         raise InvalidInputError("0 has no prime factorization")
-    factors: dict[int, int] = {}
+    factors: Factorization = []
     for p in _trial_primes():
         if p * p > n:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+    else:
+        if n == 1:
+            return factors
         if n >= _PRIME_LIMIT:
             raise InvalidInputError(
                 "remaining cofactor exceeds the supported 64-bit range"
             )
+        # Every prime left is above the trial primes, so the split primes
+        # sort after the ones found so far.
+        split: dict[int, int] = {}
         stack = [n]
         while stack:
             m = stack.pop()
             if is_prime(m):
-                factors[m] = factors.get(m, 0) + 1
+                split[m] = split.get(m, 0) + 1
                 continue
             d = find_nontrivial_factor(m)
             stack.append(d)
             stack.append(m // d)
-    return sorted(factors.items())
+        return factors + sorted(split.items())
+    if n > 1:
+        factors.append((n, 1))
+    return factors
 
 
 def factorization_str(f: Factorization) -> str:

@@ -8,17 +8,19 @@ nonzero zero-divisors and m the largest annihilator size among them:
 and P(R) <= 1/2 + 1/l^2 <= 3/4 always.  For prime powers the probability
 has the exact value ((k+1)p - k) / p^(k+1), which multiplies across the
 prime-power components of Z_n and across arbitrary direct products.
-Everything below returns exact reduced fractions.
+Everything below is exact: :func:`p_zn_ratio` and :func:`bound_chain`
+work on integers, for callers that make one value per row, and the rest
+return reduced fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from zeroprod.arith import as_natural, histogram_product, rat_decimal, rat_make, rat_str
-from zeroprod.errors import ExcludedRingError, InvalidInputError
+from zeroprod.errors import ExcludedRingError, InvalidInputError, ZeroDenominatorError
 from zeroprod.factor import Factorization, factorize, is_prime
 from zeroprod.rings import (
     AnnProfile,
@@ -39,26 +41,30 @@ def p_zpk(p: int, k: int) -> Fraction:
         raise InvalidInputError(f"p must be prime, got {p}")
     if as_natural(k, "k") < 1:
         raise InvalidInputError("exponent k must be >= 1")
-    return _zpk_value(p, k)
+    return Fraction(*p_zn_ratio([(p, k)]))
 
 
-def _zpk_value(p: int, k: int) -> Fraction:
-    # For a prime p that the caller has already checked or proven.
-    return rat_make((k + 1) * p - k, p ** (k + 1))
+def p_zn_ratio(f: Factorization) -> tuple[int, int]:
+    """P(Z_n) as a reduced pair (num, den) from a factorization of n >= 2.
 
-
-def p_zn_from_factorization(f: Factorization) -> Fraction:
-    """Product of the prime-power values across a factorization of n >= 2.
-
-    ``f`` is taken as returned by :func:`factorize`, whose primes are
-    proven, so they are not tested again.
+    The product of ((k+1)p - k) / p^(k+1) over the prime powers p^k of
+    n, reduced with one gcd.  ``f`` is taken as returned by
+    :func:`factorize`, whose primes are proven, so they are not tested
+    again.
     """
     if not f:
         raise ExcludedRingError(_ZERO_RING)
-    out = Fraction(1)
+    num = den = 1
     for p, k in f:
-        out *= _zpk_value(p, k)
-    return out
+        num *= (k + 1) * p - k
+        den *= p ** (k + 1)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def p_zn_from_factorization(f: Factorization) -> Fraction:
+    """:func:`p_zn_ratio` as a ``Fraction``."""
+    return Fraction(*p_zn_ratio(f))
 
 
 def p_zn(n: int) -> Fraction:
@@ -93,10 +99,14 @@ def _validate_l_k(l: int, zcount: int) -> None:
         )
 
 
+def _lower_numerator(l: int, zcount: int) -> int:
+    _validate_l_k(l, zcount)
+    return 2 * l + zcount - 1
+
+
 def lower_bound(l: int, zcount: int) -> Fraction:
     """(2l + k - 1) / l^2 with k = |Z(R)|; every ring sits at or above it."""
-    _validate_l_k(l, zcount)
-    return rat_make(2 * l + zcount - 1, l * l)
+    return rat_make(_lower_numerator(l, zcount), l * l)
 
 
 def _validate_m(l: int, zcount: int, m: int) -> None:
@@ -114,11 +124,15 @@ def _validate_m(l: int, zcount: int, m: int) -> None:
         )
 
 
-def upper_bound(l: int, zcount: int, m: int) -> Fraction:
-    """(2l + (m-1)k - 1) / l^2; pass m = 1 when there are no zero-divisors."""
+def _upper_numerator(l: int, zcount: int, m: int) -> int:
     _validate_l_k(l, zcount)
     _validate_m(l, zcount, m)
-    return rat_make(2 * l + (m - 1) * zcount - 1, l * l)
+    return 2 * l + (m - 1) * zcount - 1
+
+
+def upper_bound(l: int, zcount: int, m: int) -> Fraction:
+    """(2l + (m-1)k - 1) / l^2; pass m = 1 when there are no zero-divisors."""
+    return rat_make(_upper_numerator(l, zcount, m), l * l)
 
 
 def p_integral_domain(l: int) -> Fraction:
@@ -145,17 +159,32 @@ def refined_cap(l: int) -> Fraction:
 
 
 def bound_chain(
-    l: int, zcount: int, maxann: int | None, p: Fraction
-) -> tuple[Fraction, Fraction, bool]:
-    """Lower and upper bound for measured k and m, and whether the chain
+    l: int, zcount: int, maxann: int | None, p: tuple[int, int]
+) -> tuple[int, int, bool]:
+    """The numerators over l^2 of the lower and upper bound for measured
+    k and m, and whether the chain
 
         lower <= P <= upper <= 1/2 + 1/l^2 <= 3/4
 
-    holds; ``maxann`` is None when the ring has no zero-divisors (m = 1).
+    holds for P = num/den given as ``p = (num, den)``, den >= 1.  This is
+    the one place the chain is written.  It is decided in integers, by
+    cross-multiplication over the common denominators l^2, 2l^2 and 4l^2,
+    so no ``Fraction`` is built; callers that print the bounds build them
+    from the numerators.  ``maxann`` is None when the ring has no
+    zero-divisors (m = 1).
     """
-    lower = lower_bound(l, zcount)
-    upper = upper_bound(l, zcount, 1 if maxann is None else maxann)
-    return lower, upper, lower <= p <= upper <= refined_cap(l) <= GLOBAL_CAP
+    num, den = p
+    if as_natural(den, "denominator") == 0:
+        raise ZeroDenominatorError("denominator must be >= 1")
+    lower = _lower_numerator(l, zcount)
+    upper = _upper_numerator(l, zcount, 1 if maxann is None else maxann)
+    l2 = l * l
+    holds = (
+        lower * den <= num * l2 <= upper * den
+        and 2 * upper <= l2 + 2  # upper <= (l^2 + 2) / (2 l^2)
+        and 2 * (l2 + 2) <= 3 * l2  # 1/2 + 1/l^2 <= 3/4
+    )
+    return lower, upper, holds
 
 
 def _zpk_histogram(p: int, k: int) -> dict[int, int]:
@@ -238,16 +267,17 @@ def bounds_report(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> BoundsReport:
     """
     order = ring_order(spec)
     profile = ann_profile(spec, caps)
-    exact = rat_make(profile.ann_count(), order * order)
-    lower, upper, all_hold = bound_chain(order, profile.zcount, profile.maxann, exact)
+    l2 = order * order
+    count = profile.ann_count()
+    lower, upper, all_hold = bound_chain(order, profile.zcount, profile.maxann, (count, l2))
     return BoundsReport(
         ring=str(spec),
         order=order,
         zcount=profile.zcount,
         maxann=profile.maxann,
-        lower=lower,
-        exact=exact,
-        upper=upper,
+        lower=Fraction(lower, l2),
+        exact=rat_make(count, l2),
+        upper=Fraction(upper, l2),
         refined_cap=refined_cap(order),
         global_cap=GLOBAL_CAP,
         all_hold=all_hold,

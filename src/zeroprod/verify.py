@@ -17,6 +17,9 @@ A failure is reported, never raised: the caller decides the exit code.
 
 from __future__ import annotations
 
+import itertools
+import os
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -26,11 +29,41 @@ from zeroprod.errors import InvalidInputError, ResourceLimitError
 from zeroprod.factor import factorize
 from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
 from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, pair_count
-from zeroprod.scan import ordered_map
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
 # up to this bound by default; the other legs cover the whole range.
 PAIRWISE_ORACLE_BOUND = 300
+
+
+def _map_chunk(fn, chunk: list) -> list:
+    return [fn(item) for item in chunk]
+
+
+def ordered_map(fn, items, jobs: int, chunksize: int):
+    """Yield fn(item) for every item, in input order.
+
+    ``items`` is a range.  Its chunks of ``chunksize`` go to a pool of
+    min(jobs, chunks, CPUs) processes with at most two chunks per process
+    in flight, so memory stays bounded; with one process there is no pool.
+    ``fn`` must be picklable.  The pool module is imported here, not at
+    the top: it is a sixth of the CLI's import time, and only a
+    multi-process verify uses it.
+    """
+    workers = min(jobs, -(-len(items) // chunksize), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    it = iter(items)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        while chunk := list(itertools.islice(it, chunksize)):
+            if len(pending) >= 2 * workers:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_map_chunk, fn, chunk))
+        while pending:
+            yield from pending.popleft().result()
 
 
 @dataclass(frozen=True)
@@ -62,7 +95,8 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
     derived = ann_profile_from_factorization(f)
     pillai = Fraction(derived.ann_count(), n * n)
     profile = ann_profile(spec, caps)
-    measured = rat_make(profile.ann_count(), n * n)
+    count = profile.ann_count()
+    measured = rat_make(count, n * n)
     legs = {"closed": closed, "pillai": pillai, "measured": measured}
     if n <= min(pairwise_bound, caps.pairwise):
         legs["pairs"] = Fraction(pair_count(spec, caps), n * n)
@@ -90,10 +124,11 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
     if detail is not None:
         failures.append(CheckFailure("ann-buckets", n, detail))
 
-    lower, upper, holds = bound_chain(n, zcount, maxann, measured)
+    lower, upper, holds = bound_chain(n, zcount, maxann, (count, n * n))
     checks += 1
     if not holds:
-        detail = f"lower={rat_str(lower)} exact={rat_str(measured)} upper={rat_str(upper)}"
+        lower_q, upper_q = Fraction(lower, n * n), Fraction(upper, n * n)
+        detail = f"lower={rat_str(lower_q)} exact={rat_str(measured)} upper={rat_str(upper_q)}"
         failures.append(CheckFailure("bounds-chain", n, detail))
 
     if len(f) == 1:

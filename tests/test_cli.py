@@ -1,4 +1,6 @@
 import csv
+import functools
+import gc
 import io
 import json
 import subprocess
@@ -7,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import zeroprod.cli
 import zeroprod.kernels
 import zeroprod.verify
 from zeroprod.cli import main
@@ -409,3 +412,88 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+# Every subcommand, with usage errors and an excluded ring in between,
+# and each non-default option followed by a call that leaves it unset.
+REUSE_SEQUENCE = [
+    (["prob", "12", "--digits", "3"], 0),
+    (["prob", "12"], 0),
+    (["prob", "60", "--paranoid", "--format", "json"], 0),
+    (["prob", "60"], 0),
+    (["prob", "--ring", "Zn(4)xZn(6)"], 0),
+    (["prob", "12"], 0),
+    (["prob", "1"], 2),
+    (["prob", "12", "--ring", "Zn(4)"], 1),
+    (["prob", "--cap", "50", "--paranoid", "60"], 3),
+    (["prob", "60", "--paranoid"], 0),
+    (["bounds", "8", "--format", "csv", "--digits", "0"], 0),
+    (["bounds", "8"], 0),
+    (["scan", "5", "3"], 1),
+    (["scan", "2", "30", "--format", "json", "--digits", "12", "--jobs", "2"], 0),
+    (["scan", "2", "30"], 0),
+    (["verify", "--max", "40", "--paranoid", "--jobs", "2"], 0),
+    (["verify", "--max", "40"], 0),
+    (["verify"], 1),
+    (["montecarlo", "12", "--samples", "500", "--seed", "5", "--format", "csv"], 0),
+    (["montecarlo", "12", "--samples", "500"], 0),
+    (["graph", "--ring", "Zn(2)xZn(4)"], 0),
+    (["graph", "12"], 0),
+    (["--backend"], 0),
+    ([], 1),
+    (["scan", "--help"], 0),
+    (["prob", "12", "--digits", "-1"], 1),
+    (["prob", "12"], 0),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_carries_no_state(capsys, monkeypatch):
+    monkeypatch.setattr(zeroprod.cli, "_parser", zeroprod.cli.build_parser)
+    fresh = [_outcome(capsys, argv) for argv, _ in REUSE_SEQUENCE]
+    assert [code for code, _, _ in fresh] == [code for _, code in REUSE_SEQUENCE]
+    builds = []
+
+    def build():
+        builds.append(None)
+        return zeroprod.cli.build_parser()
+
+    monkeypatch.setattr(zeroprod.cli, "_parser", functools.cache(build))
+    reused = [_outcome(capsys, argv) for argv, _ in REUSE_SEQUENCE]
+    assert len(builds) == 1
+    for (argv, _), want, got in zip(REUSE_SEQUENCE, fresh, reused):
+        assert got == want, argv
+
+
+def test_parser_is_not_built_at_import():
+    probe = "import zeroprod.cli as c; print(c._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "30000", "30023", "--format", "csv"], ["prob", "18446744030759878681"]],
+)
+def test_warm_call_leaves_no_cyclic_garbage(capsys, argv):
+    """A call that leaves cycles behind makes the collector run, and its
+    pauses land on later calls."""
+    assert main(argv) == 0  # warm: the parser and the trial primes exist
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()

@@ -82,10 +82,44 @@ def test_factorize_rejects_zero():
 
 
 def test_factorize_matches_trial_division_oracle():
-    limit = 10**5
+    limit = 2 * 10**5
     spf = _spf_table(limit)
     for n in range(1, limit + 1):
         assert factorize(n) == _oracle_factorize(n, spf)
+
+
+def _trial_division(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+# 9973 is the last trial prime and 10007 the first prime after it, so
+# these cofactors sit on either side of where trial division hands over
+# to the primality test and rho.
+@pytest.mark.parametrize(
+    "n", [9973**2, 10007**2, 9973 * 10007, 9973**3, 10007**3, 9973**2 * 10007]
+)
+def test_factorize_around_the_trial_bound(n):
+    assert factorize(n) == _trial_division(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2**64 - 1))
+def test_factorize_64_bit_primes_multiply_back(n):
+    f = factorize(n)
+    assert math.prod(p**k for p, k in f) == n
+    assert all(is_prime(p) and k >= 1 for p, k in f)
+    assert [p for p, _ in f] == sorted({p for p, _ in f})
 
 
 def test_factorize_invariants_on_structure():

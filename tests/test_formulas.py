@@ -2,8 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from zeroprod.errors import ExcludedRingError, InvalidInputError
+from zeroprod.errors import ExcludedRingError, InvalidInputError, ZeroDenominatorError
 from zeroprod.factor import factorize, is_prime
 from zeroprod.formulas import (
     GLOBAL_CAP,
@@ -174,19 +176,21 @@ class TestBounds:
         assert all(c < GLOBAL_CAP for c in caps[1:])
 
     def test_bound_chain_predicate(self):
-        # Zn(8): k = 3, m = 4, lower 9/32 <= P = 5/16 <= upper 3/8
-        assert bound_chain(8, 3, 4, Fraction(5, 16)) == (
-            Fraction(9, 32),
-            Fraction(3, 8),
-            True,
-        )
-        assert bound_chain(7, 0, None, Fraction(13, 49))[2]
-        assert bound_chain(4, 1, 2, Fraction(1, 2))[2]
-        assert bound_chain(2, 0, None, GLOBAL_CAP)[2]
-        assert not bound_chain(8, 3, 4, Fraction(9, 32) - Fraction(1, 64**2))[2]
-        assert not bound_chain(8, 3, 4, Fraction(3, 8) + Fraction(1, 64**2))[2]
-        assert not bound_chain(7, 0, None, Fraction(12, 49))[2]
-        assert not bound_chain(7, 0, None, Fraction(14, 49))[2]
+        def chain(l, k, m, q):
+            return bound_chain(l, k, m, q.as_integer_ratio())
+
+        # Zn(8): k = 3, m = 4, lower 9/32 <= P = 5/16 <= upper 3/8, over 64
+        assert chain(8, 3, 4, Fraction(5, 16)) == (18, 24, True)
+        assert bound_chain(8, 3, 4, (10, 32)) == (18, 24, True)  # unreduced P
+        assert chain(7, 0, None, Fraction(13, 49))[2]
+        assert chain(4, 1, 2, Fraction(1, 2))[2]
+        assert chain(2, 0, None, GLOBAL_CAP)[2]
+        assert not chain(8, 3, 4, Fraction(9, 32) - Fraction(1, 64**2))[2]
+        assert not chain(8, 3, 4, Fraction(3, 8) + Fraction(1, 64**2))[2]
+        assert not chain(7, 0, None, Fraction(12, 49))[2]
+        assert not chain(7, 0, None, Fraction(14, 49))[2]
+        with pytest.raises(ZeroDenominatorError):
+            bound_chain(8, 3, 4, (5, 0))
 
     def test_chain_holds_for_measured_rings(self):
         for n in range(2, 501):
@@ -211,6 +215,59 @@ class TestBounds:
             Product((Zn(2), Zn(3), Zn(5))),
         ):
             assert bounds_report(spec).all_hold
+
+
+def _fraction_chain(l, k, m, q):
+    """The bound chain written with ``Fraction``, as the paper states it."""
+    lower = Fraction(2 * l + k - 1, l * l)
+    upper = Fraction(2 * l + ((m or 1) - 1) * k - 1, l * l)
+    cap = Fraction(1, 2) + Fraction(1, l * l)
+    return lower, upper, lower <= q <= upper <= cap <= Fraction(3, 4)
+
+
+@st.composite
+def _valid_chain_input(draw):
+    """Valid (l, k, m) and a P at, just off, or far from either bound."""
+    l = draw(st.one_of(st.integers(2, 100), st.integers(2, 2**64)))
+    k = draw(st.integers(0, l - 2))
+    m = draw(st.integers(1, l // 2)) if k else draw(st.sampled_from([None, 1]))
+    lower, upper, _ = _fraction_chain(l, k, m, Fraction(0))
+    nudge = Fraction(draw(st.integers(-2, 2)), l * l * draw(st.integers(1, 10**6)))
+    q = draw(
+        st.one_of(
+            st.sampled_from([lower, upper, (lower + upper) / 2]).map(lambda b: b + nudge),
+            st.fractions(min_value=0, max_value=1, max_denominator=10**40),
+        )
+    )
+    return l, k, m, max(q, Fraction(0)), draw(st.integers(1, 1000))
+
+
+@given(_valid_chain_input())
+def test_integer_bound_chain_equals_fraction_chain(case):
+    l, k, m, q, scale = case
+    want = _fraction_chain(l, k, m, q)
+    for pair in ((q.numerator, q.denominator), (q.numerator * scale, q.denominator * scale)):
+        lower, upper, holds = bound_chain(l, k, m, pair)
+        assert (Fraction(lower, l * l), Fraction(upper, l * l), holds) == want
+
+
+@st.composite
+def _invalid_chain_input(draw):
+    l = draw(st.one_of(st.integers(2, 100), st.integers(2, 2**64)))
+    kind = draw(st.sampled_from(["k", "m_high", "m_zero", "m_without_k"]))
+    if kind == "k":
+        return l, draw(st.integers(l - 1, l + 10)), None
+    if kind == "m_without_k":
+        return l, 0, draw(st.integers(2, l + 10))
+    k = draw(st.integers(1, l - 2)) if l > 2 else 1
+    m = draw(st.integers(l // 2 + 1, l + 10)) if kind == "m_high" else 0
+    return l, k, m
+
+
+@given(_invalid_chain_input(), st.fractions(min_value=0, max_value=1))
+def test_integer_bound_chain_rejects_invalid_k_and_m(case, q):
+    with pytest.raises(InvalidInputError):
+        bound_chain(*case, (q.numerator, q.denominator))
 
 
 class TestProfileClosedForm:
