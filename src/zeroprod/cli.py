@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from fractions import Fraction
 
 from zeroprod import kernels
@@ -282,12 +282,22 @@ def _cmd_montecarlo(args, parser) -> int:
     return EXIT_OK
 
 
+@contextmanager
+def _naming(path: str):
+    """Report an OSError against ``path``, not the temporary file behind it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def _write_files(files: list[tuple[str, str]]) -> None:
     """Write each (path, text), touching no path unless every text was written.
 
     Each text goes to a temporary file beside its target, and the
     temporaries replace their targets only after all of them are written.
-    On any error the temporaries left over are removed.
+    On any error the temporaries left over are removed, and the error
+    names the target path.
     """
     umask = os.umask(0)
     os.umask(umask)
@@ -295,13 +305,15 @@ def _write_files(files: list[tuple[str, str]]) -> None:
     try:
         for path, text in files:
             folder, name = os.path.split(path)
-            fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder or ".")
-            pending.append((tmp, path))
-            with open(fd, "w", encoding="utf-8") as fh:
-                os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
-                fh.write(text)
+            with _naming(path):
+                fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=folder or ".")
+                pending.append((tmp, path))
+                with open(fd, "w", encoding="utf-8") as fh:
+                    os.fchmod(fd, 0o666 & ~umask)  # the mode open(path, "w") would give
+                    fh.write(text)
         while pending:
-            os.replace(*pending[0])
+            with _naming(pending[0][1]):
+                os.replace(*pending[0])
             pending.pop(0)
     finally:
         for tmp, _ in pending:

@@ -39,18 +39,23 @@ class ZeroDivisorGraph:
     """An immutable simple graph on Z(R).
 
     ``vertices`` is canonically ordered; ``edges`` holds (u, v) pairs with
-    u before v in that order; ``self_annihilators`` lists the vertices
-    with x*x = 0.
+    u before v in that order, and ``edge_list`` the same pairs in
+    ascending order, the order the exports write them in;
+    ``self_annihilators`` lists the vertices with x*x = 0.
     """
 
     spec: RingSpec
     vertices: tuple
     edges: frozenset
     self_annihilators: frozenset
+    edge_list: tuple
 
 
 def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
-    """Construct the graph by enumerating vertex pairs (O(|Z(R)|^2))."""
+    """Construct the graph by enumerating vertex pairs (O(|Z(R)|^2)).
+
+    The vertices ascend, so the kernels give the edges in ascending order.
+    """
     _require_pairwise(spec, caps)
     verts = sorted(zero_divisor_set(spec, caps))
     zero = zero_element(spec)
@@ -59,15 +64,16 @@ def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     else:
         digits = [leaf_digits(x) for x in verts]
         index_pairs = kernels.graph_edges_mixed(leaf_moduli(spec), digits)
-    edges = frozenset((verts[i], verts[j]) for i, j in index_pairs)
+    edge_list = tuple((verts[i], verts[j]) for i, j in index_pairs)
     self_ann = frozenset(
         x for x in verts if element_mul(spec, x, x) == zero
     )
     return ZeroDivisorGraph(
         spec=spec,
         vertices=tuple(verts),
-        edges=edges,
+        edges=frozenset(edge_list),
         self_annihilators=self_ann,
+        edge_list=edge_list,
     )
 
 
@@ -107,7 +113,7 @@ def export_dot(g: ZeroDivisorGraph) -> str:
             lines.append(f"  {ids[x]} [selfann=true];")
         else:
             lines.append(f"  {ids[x]};")
-    for u, v in sorted(g.edges):
+    for u, v in g.edge_list:
         lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -119,7 +125,7 @@ def export_edges_csv(g: ZeroDivisorGraph) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v"])
-    for u, v in sorted(g.edges):
+    for u, v in g.edge_list:
         writer.writerow([labels[u], labels[v]])
     return buf.getvalue()
 

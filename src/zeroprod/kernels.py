@@ -7,15 +7,16 @@ repeating them.  The Z_n histogram is a divisor sieve over a bytearray
 of Z_n; a product ring's histogram is the product
 (:func:`zeroprod.arith.histogram_product`) of its components' sieve
 histograms, so the ring's elements are never walked.  The Z_n pair
-count tests every unordered pair once, reading one byte of a
-multiples-of-n table per pair through strided slices.  The product-ring
-pair count and graph edges test every pair, 64 pairs per
-machine word: each component's zero-product sets are found by
-enumeration and lifted to bitsets over the ring's elements, and an
-element's zero-product row is the AND of its components' bitsets.
-Monte Carlo computes its splitmix64 draws a block at a time.
-Everything is plain integer arithmetic, so arbitrary-precision inputs
-work at the cost of speed.
+count and Z_n graph edges test every pair by reading one byte of a
+multiples-of-n table, a row of pairs at a time through strided slices;
+the pair count reads each unordered pair once.  The product-ring pair count and graph
+edges test every pair, 64 pairs per machine word: each component's
+zero-product sets are found by enumeration and lifted to bitsets over
+the ring's elements, and an element's zero-product row is the AND of
+its components' bitsets.  Monte Carlo computes, rejects and reduces
+its splitmix64 draws a block at a time and tests each sampled pair's
+product.  Everything is plain integer arithmetic, so arbitrary-precision
+inputs work at the cost of speed.
 
 Callers go through the module attribute (``kernels.ann_pair_count_zn``),
 not ``from ... import`` copies.
@@ -23,9 +24,8 @@ not ``from ... import`` copies.
 
 from __future__ import annotations
 
-import sys
 from functools import reduce
-from itertools import chain, compress, islice, product, repeat
+from itertools import compress, product, repeat
 from math import gcd, isqrt, prod
 from operator import and_, countOf, getitem, mod, mul, not_
 from struct import Struct
@@ -37,7 +37,7 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024  # splitmix64 outputs computed side by side
-_TABLE_BYTES = 1 << 18  # size of the Z_n pair count's multiples table
+_TABLE_BYTES = 1 << 20  # cap on the size of the multiples table of Z_n
 
 
 def backend() -> str:
@@ -79,17 +79,26 @@ def ann_size_histogram_mixed(mods: tuple[int, ...]) -> dict[int, int]:
     return histogram_product(map(ann_size_histogram_zn, mods))
 
 
+def _multiples_table(n: int) -> bytes:
+    """Bytes of period n with 1 exactly at the multiples of n.
+
+    The byte at x*y0 mod n + x*(y - y0) is 1 iff x*y = 0 in Z_n, so a
+    row x reads its products for y = y0, y0+1, ... as one strided slice
+    from x*y0 mod n, as many y per slice as the table reaches.  No row
+    reaches beyond x*(n - x) + n < n*(n//4 + 2), so the table is sized to
+    that, capped at _TABLE_BYTES.
+    """
+    return (b"\1" + bytes(n - 1)) * max(2, min(_TABLE_BYTES // n, n // 4 + 2))
+
+
 def ann_pair_count_zn(n: int) -> int:
     """Ordered pairs (x, y) in Z_n^2 with x*y = 0, by full enumeration.
 
     Multiplication commutes, so each unordered pair is tested once: the
-    count is the diagonal plus twice the strict upper triangle.  A table
-    of period n holds 1 exactly at the multiples of n, so for y = y0,
-    y0+1, ... the byte at x*y0 mod n + x*(y - y0) decides whether x*y = 0.
-    Row x reads those bytes as strided slices, as many y per slice as the
-    table reaches.
+    count is the diagonal plus twice the strict upper triangle.  Row x
+    reads the bytes of y in (x, n) from the multiples table.
     """
-    table = (b"\1" + bytes(n - 1)) * max(2, _TABLE_BYTES // n)
+    table = _multiples_table(n)
     reach = len(table) - n  # a slice starts below n and ends in the table
     diagonal, upper = 1, n - 1  # x = 0 kills every y
     for x in range(1, n):
@@ -137,14 +146,28 @@ def ann_pair_count_mixed(mods: tuple[int, ...]) -> int:
 
 
 def graph_edges_zn(n: int, verts: list[int]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in Z_n."""
-    m = len(verts)
+    """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in Z_n.
+
+    The vertices must be nonzero and strictly ascending.  Row i reads
+    the byte of every y in (verts[i], n) from the multiples table, as
+    ann_pair_count_zn does, and keeps the hits that are vertices, so
+    pairs come in ascending (i, j) order.
+    """
+    table = _multiples_table(n)
+    reach = len(table) - n
+    vertex_at = {v: i for i, v in enumerate(verts)}
     edges = []
-    for i in range(m):
-        vi = verts[i]
-        for j in range(i + 1, m):
-            if (vi * verts[j]) % n == 0:
-                edges.append((i, j))
+    for i, x in enumerate(verts):
+        block = reach // x + 1
+        for y in range(x + 1, n, block):
+            start = x * y % n
+            row = table[start : start + x * min(block, n - y) : x]
+            k = row.find(1)
+            while k >= 0:
+                j = vertex_at.get(y + k)
+                if j is not None:
+                    edges.append((i, j))
+                k = row.find(1, k + 1)
     return edges
 
 
@@ -176,8 +199,9 @@ def graph_edges_mixed(
     return edges
 
 
-def _splitmix64_blocks(seed: int, width: int):
-    """Yield the splitmix64 outputs for ``seed`` in tuples of ``width``.
+def _splitmix64_blocks(seed: int, width: int, n: int):
+    """Yield the splitmix64 draws for Z_n from ``seed``, in tuples of the
+    draws accepted among ``width`` consecutive outputs.
 
     splitmix64 is counter based: output k >= 1 mixes the state
     seed + k*gamma mod 2**64.  A block packs ``width`` consecutive states
@@ -185,20 +209,34 @@ def _splitmix64_blocks(seed: int, width: int):
     big-integer operation for the whole block.  A 64-bit value times a
     64-bit constant stays inside its slot, and the masks clear the bits
     that shifts move into the slot below.
+
+    An output r is accepted iff r < 2**64 - (2**64 mod n): adding
+    2**64 mod n to every slot carries into bit 64 exactly where r is
+    rejected, so only a block with a rejection is filtered.  One Barrett
+    step, r - floor(r*floor(2**64/n) / 2**64)*n, replaces each r by a
+    value congruent to it mod n and below 2n.  n = 2**64 rejects nothing
+    and leaves every output as it is.
     """
     lanes = int.from_bytes(b"\1".ljust(16, b"\0") * width, "little")
     masks = lanes * _MASK64
+    carries = lanes << 64
+    offset = (1 << 64) % n * lanes
+    limit = (1 << 64) - (1 << 64) % n
+    scale = (1 << 64) // n
+    step = (width * _SM64_GAMMA & _MASK64) * lanes
     counters = b"".join(k.to_bytes(16, "little") for k in range(1, width + 1))
-    steps = int.from_bytes(counters, "little") * _SM64_GAMMA
+    s = (seed & _MASK64) * lanes + int.from_bytes(counters, "little") * _SM64_GAMMA & masks
     unpack = Struct("<" + "Q8x" * width).unpack
-    base = seed & _MASK64
     while True:
-        s = base * lanes + steps & masks
         z = (s ^ s >> 30 & masks) * _SM64_MIX1 & masks
         z = (z ^ z >> 27 & masks) * _SM64_MIX2 & masks
         z ^= z >> 31 & masks
-        yield unpack(z.to_bytes(16 * width, "little"))
-        base = (base + width * _SM64_GAMMA) & _MASK64
+        block = unpack((z - (z * scale >> 64 & masks) * n).to_bytes(16 * width, "little"))
+        if z + offset & carries:
+            draws = unpack(z.to_bytes(16 * width, "little"))
+            block = tuple(compress(block, map(limit.__gt__, draws)))
+        yield block
+        s = s + step & masks
 
 
 def mc_zero_pairs_zn(n: int, samples: int, seed: int) -> int:
@@ -207,18 +245,19 @@ def mc_zero_pairs_zn(n: int, samples: int, seed: int) -> int:
     Draws come from splitmix64 with rejection sampling: a 64-bit output r
     is accepted iff r < 2**64 - (2**64 mod n), then reduced mod n.  Each
     sample consumes draws for x first, then y, so any implementation of
-    this procedure reproduces the stream bit for bit.  Here x*y = 0 is
-    tested as n | r_x*r_y, which is the same condition.
+    this procedure reproduces the stream bit for bit.  Here x and y are
+    reduced only to below 2n, which does not change whether n | x*y.  A
+    block's draws pair up at its even and odd positions; an odd last
+    draw is the x of the next block's first sample.
     """
-    limit = (1 << 64) - (1 << 64) % n
-    blocks = _splitmix64_blocks(seed, min(_BLOCK, 2 * samples))
-    draws = chain.from_iterable(
-        block if max(block) < limit else filter(limit.__gt__, block) for block in blocks
-    )
-    products = map(mul, draws, draws)  # map takes x, then y
+    blocks = _splitmix64_blocks(seed, min(_BLOCK, 2 * samples), n)
     hits = 0
-    while samples:  # islice stops at sys.maxsize at most
-        take = min(samples, sys.maxsize)
-        hits += countOf(map(mod, islice(products, take), repeat(n)), 0)
-        samples -= take
+    draws = ()
+    while samples:
+        draws += next(blocks)
+        end = 2 * min(samples, len(draws) // 2)
+        products = map(mul, draws[0:end:2], draws[1:end:2])
+        hits += countOf(map(mod, products, repeat(n)), 0)
+        samples -= end // 2
+        draws = draws[end:]
     return hits

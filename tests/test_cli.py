@@ -366,15 +366,17 @@ class TestRejectedInputs:
         missing = tmp_path / "missing"
         dot = tmp_path / "g.dot"
         dot.write_bytes(b"earlier export\n")
-        for argv in (
-            ("graph", "12", "--csv", str(missing / "x")),
-            ("graph", "12", "--dot", str(missing / "g.dot")),
-            ("graph", "12", "--dot", str(dot), "--csv", str(missing / "x")),
-            ("graph", "12", "--csv", str(tmp_path / "x"), "--dot", str(missing / "g.dot")),
+        for argv, named in (
+            (("graph", "12", "--csv", str(missing / "x")), missing / "x.edges.csv"),
+            (("graph", "12", "--dot", str(missing / "g.dot")), missing / "g.dot"),
+            (("graph", "12", "--dot", str(dot), "--csv", str(missing / "x")), missing / "x.edges.csv"),
+            (("graph", "12", "--csv", str(tmp_path / "x"), "--dot", str(missing / "g.dot")), missing / "g.dot"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert (code, out) == (1, "")
             assert "i/o error" in err
+            # the error names the path given, not its hidden temporary file
+            assert repr(str(named)) in err and ".tmp" not in err
             # an existing file keeps its bytes and no temporary file is left
             assert dot.read_bytes() == b"earlier export\n"
             assert [p.name for p in tmp_path.iterdir()] == ["g.dot"]

@@ -1,3 +1,5 @@
+import csv
+import io
 from collections import Counter
 
 import pytest
@@ -195,3 +197,25 @@ class TestIdentities:
     def test_vertices_equal_zero_divisor_set(self):
         for n in (6, 30, 210):
             assert set(build_graph(Zn(n)).vertices) == zero_divisor_set(Zn(n))
+
+
+@pytest.mark.parametrize(
+    "text", ["Zn(12)", "Zn(360)", "Zn(1024)", "Zn(4)xZn(6)", "Zn(2)xZn(3)xZn(4)", "Zn(9)xZn(10)"]
+)
+def test_edges_equal_an_element_mul_double_loop(text):
+    spec = parse_ring(text)
+    g = build_graph(spec)
+    zero = zero_element(spec)
+    verts = g.vertices
+    oracle = [
+        (u, v)
+        for i, u in enumerate(verts)
+        for v in verts[i + 1 :]
+        if element_mul(spec, u, v) == zero
+    ]
+    assert g.edges == frozenset(oracle)
+    # both exports write the edges in sorted order
+    rows = [[element_str(u), element_str(v)] for u, v in sorted(oracle)]
+    dot = export_dot(g).splitlines()
+    assert [x.strip(" ;").replace('"', "").split(" -- ") for x in dot if " -- " in x] == rows
+    assert list(csv.reader(io.StringIO(export_edges_csv(g))))[1:] == rows

@@ -61,7 +61,7 @@ def _brute_edges(mods, verts):
 
 
 def _block_stream(seed, count, width):
-    blocks = kernels._splitmix64_blocks(seed, width)
+    blocks = kernels._splitmix64_blocks(seed, width, 1 << 64)
     return list(itertools.islice(itertools.chain.from_iterable(blocks), count))
 
 
@@ -123,7 +123,7 @@ def test_pair_count_zn_against_oracle():
     for n in range(2, 301):
         assert kernels.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
     # |Ann(x)| = gcd(x, n) in Z_n, with gcd(0, n) = n
-    for n in (2048, 3600, 3607, 4096):
+    for n in (2048, 3600, 3607, 4093, 4096):
         assert kernels.ann_pair_count_zn(n) == sum(gcd(x, n) for x in range(n)), n
 
 
@@ -157,16 +157,63 @@ def test_graph_edges_mixed_against_oracle(mods):
     assert sorted(got) == _brute_edges(mods, shuffled)
 
 
+def _brute_edges_zn(n, verts):
+    return [
+        (i, j)
+        for i in range(len(verts))
+        for j in range(i + 1, len(verts))
+        if verts[i] * verts[j] % n == 0
+    ]
+
+
+def _zero_divisors_zn(n):
+    # Z(Z_n) from the definition: nonzero x killing some nonzero y.
+    return [x for x in range(1, n) if any(x * y % n == 0 for y in range(1, n))]
+
+
 def test_graph_edges_zn_against_oracle():
-    for n in (6, 8, 12, 30, 60):
+    for n in range(2, 201):
+        verts = _zero_divisors_zn(n)
+        assert kernels.graph_edges_zn(n, verts) == _brute_edges_zn(n, verts), n
+
+
+def test_graph_edges_zn_across_table_windows(monkeypatch):
+    monkeypatch.setattr(kernels, "_TABLE_BYTES", 4)
+    for n in range(2, 121):
+        verts = _zero_divisors_zn(n)
+        assert kernels.graph_edges_zn(n, verts) == _brute_edges_zn(n, verts), n
+
+
+def test_zn_kernels_where_the_table_cap_binds():
+    # The multiples table holds n//4 + 2 periods, the most any row reads,
+    # until that exceeds _TABLE_BYTES; from there the middle rows need
+    # several slices.
+    def capped(n):
+        return len(kernels._multiples_table(n)) < n * (n // 4 + 2)
+
+    first = next(n for n in range(2, 4097) if capped(n))
+    assert not capped(first - 1)
+    for n in (first - 1, first, first + 1):
+        assert kernels.ann_pair_count_zn(n) == _brute_pairs_zn(n), n
         verts = [x for x in range(1, n) if gcd(x, n) > 1]
-        oracle = [
-            (i, j)
-            for i in range(len(verts))
-            for j in range(i + 1, len(verts))
-            if verts[i] * verts[j] % n == 0
-        ]
-        assert kernels.graph_edges_zn(n, verts) == oracle
+        assert kernels.graph_edges_zn(n, verts) == _brute_edges_zn(n, verts), n
+
+
+def test_graph_edges_zn_at_the_pair_cap():
+    verts = [x for x in range(1, 4096) if gcd(x, 4096) > 1]
+    assert kernels.graph_edges_zn(4096, verts) == _brute_edges_zn(4096, verts)
+    # 4093 is prime: no vertices, no edges, and its rows are never read
+    assert kernels.graph_edges_zn(4093, []) == []
+
+
+def test_graph_edges_zn_on_a_vertex_subset():
+    # Products that vanish at a non-vertex are skipped, and indices
+    # refer to the subset.
+    rng = random.Random(4)
+    for n in (12, 60, 360, 1024, 2310):
+        verts = [x for x in range(1, n) if gcd(x, n) > 1]
+        subset = sorted(rng.sample(verts, len(verts) // 3))
+        assert kernels.graph_edges_zn(n, subset) == _brute_edges_zn(n, subset), n
 
 
 def test_mc_determinism_and_sanity():
@@ -198,3 +245,96 @@ def test_mc_power_of_two_modulus():
 )
 def test_mc_against_reference_sampler(n, samples, seed):
     assert kernels.mc_zero_pairs_zn(n, samples, seed) == _reference_mc(n, samples, seed)
+
+
+_HIT_SEEDS = [0, _MASK, 1, 2, 3, 7, 42, 99, 12345, 2**32 - 1, 2**32, 2**63, 0xDEADBEEF, 987654321]
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 12, 100, 1234, 3600])
+def test_mc_hits_against_reference_sampler(n):
+    # Blocks hold 512 samples: these counts end one sample before, at
+    # and one sample after the end of the second block.
+    total = 0
+    for seed in _HIT_SEEDS:
+        for samples in (1023, 1024, 1025):
+            hits = kernels.mc_zero_pairs_zn(n, samples, seed)
+            assert hits == _reference_mc(n, samples, seed), (n, samples, seed)
+            total += hits
+    assert total > 0  # the hit test itself ran, not only the draws
+
+
+def _odd_blocks(blocks):
+    # The same draws, regrouped into blocks of odd sizes, so that some
+    # samples take x from one block and y from the next.
+    def regrouped(seed, width, n):
+        draws = itertools.chain.from_iterable(blocks(seed, width, n))
+        for size in itertools.cycle((1, 3, 1023, 5)):
+            yield tuple(itertools.islice(draws, size))
+
+    return regrouped
+
+
+@pytest.mark.parametrize("n", [2, 6, 100, 3600])
+def test_mc_pairs_draws_across_odd_blocks(monkeypatch, n):
+    monkeypatch.setattr(kernels, "_splitmix64_blocks", _odd_blocks(kernels._splitmix64_blocks))
+    # Block ends fall after draws 1, 4, 1027 and 1032: 513 samples end
+    # one draw before the end of a block, 514 one draw after it and 516
+    # at it.
+    for seed in _HIT_SEEDS[:6]:
+        for samples in (1, 2, 513, 514, 516, 1100):
+            got = kernels.mc_zero_pairs_zn(n, samples, seed)
+            assert got == _reference_mc(n, samples, seed), (n, samples, seed)
+
+
+@pytest.mark.parametrize("n", [3, 1234, 2**63 + 1, 2**64 - 1])
+def test_splitmix64_draws_for_zn(n):
+    # Accepted draws in order, each replaced by a value below 2n that is
+    # congruent to it mod n.
+    limit = (1 << 64) - (1 << 64) % n
+    for seed in (0, _MASK, 5):
+        accepted = [r for r in _reference_splitmix64(seed, 5000) if r < limit][:2000]
+        blocks = kernels._splitmix64_blocks(seed, 1024, n)
+        draws = list(itertools.islice(itertools.chain.from_iterable(blocks), 2000))
+        assert [d % n for d in draws] == [r % n for r in accepted]
+        assert all(d < 2 * n for d in draws)
+
+
+def _unshift(z, k):
+    # inverse of z ^= z >> k on 64 bits
+    x = z
+    for _ in range(64 // k):
+        x = z ^ (x >> k)
+    return x
+
+
+def _seed_for_first_output(r):
+    # splitmix64's mix is a bijection: undo it, then step the state back.
+    z = _unshift(r, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return (_unshift(z, 30) - 0x9E3779B97F4A7C15) & _MASK
+
+
+@pytest.mark.parametrize("n", [3, 1234, 2**63 + 1, 2**64 - 1])
+def test_rejection_threshold_is_exact(n):
+    # The first output is set to the last accepted value and to the
+    # first rejected one.
+    limit = (1 << 64) - (1 << 64) % n
+    for first in (limit - 1, limit):
+        seed = _seed_for_first_output(first)
+        assert _reference_splitmix64(seed, 1) == [first]
+        accepted = [r for r in _reference_splitmix64(seed, 1024) if r < limit]
+        draws = next(kernels._splitmix64_blocks(seed, 1024, n))
+        assert [d % n for d in draws] == [r % n for r in accepted]
+        assert kernels.mc_zero_pairs_zn(n, 600, seed) == _reference_mc(n, 600, seed)
+
+
+def test_mc_carries_an_odd_draw_between_blocks():
+    # About half of all draws are rejected at n = 2**63 + 1, so blocks
+    # keep odd numbers of draws and a sample spans two blocks.
+    n = 2**63 + 1
+    for seed in (0, _MASK, 5, 123456789):
+        sizes = [len(b) for b in itertools.islice(kernels._splitmix64_blocks(seed, 1024, n), 8)]
+        assert any(size % 2 for size in sizes), seed
+        for samples in (1, 511, 512, 513, 2000):
+            got = kernels.mc_zero_pairs_zn(n, samples, seed)
+            assert got == _reference_mc(n, samples, seed), (seed, samples)
