@@ -77,17 +77,33 @@ def _resolve_caps(cap: int | None) -> Caps:
     return Caps(single=cap, pairwise=cap)
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= low, so a bad value is a usage error."""
+# Python refuses to render an integer of more digits as text, so more
+# fractional digits could only fail after the work was done.
+MAX_DIGITS = 4300
+
+
+def _int_between(low: int, high: int | None = None):
+    """argparse type for an integer in [low, high], so a bad value is a
+    usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
+
+
+def _file_path(text: str) -> str:
+    """argparse type for an output path or prefix: one that names no file
+    ("" or a directory such as "out/") is a usage error."""
+    if not os.path.basename(text):
+        raise argparse.ArgumentTypeError(f"must end in a file name, got {text!r}")
+    return text
 
 
 def _target_spec(args, parser: argparse.ArgumentParser) -> RingSpec:
@@ -359,9 +375,9 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs_help=None):
     if digits:
         sub.add_argument(
             "--digits",
-            type=_int_at_least(0),
+            type=_int_between(0, MAX_DIGITS),
             default=6,
-            help="fractional digits for decimal renderings (default: 6)",
+            help=f"fractional digits for decimal renderings, 0 to {MAX_DIGITS} (default: 6)",
         )
     if cap:
         sub.add_argument(
@@ -372,7 +388,7 @@ def _add_common(sub, *, fmt=True, digits=True, cap=True, jobs_help=None):
             "single, 4096 pairwise; env ZEROPROD_CAP)",
         )
     if jobs_help is not None:
-        sub.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
+        sub.add_argument("--jobs", type=_int_between(1), default=1, help=jobs_help)
 
 
 def build_parser() -> _Parser:
@@ -434,8 +450,15 @@ def build_parser() -> _Parser:
     g = subs.add_parser("graph", help="zero-divisor graph export")
     g.add_argument("n", type=int, nargs="?", default=None, help="modulus n >= 2")
     g.add_argument("--ring", default=None, help='ring expression, e.g. "Zn(4)xZn(9)"')
-    g.add_argument("--dot", default=None, help="write DOT here instead of stdout")
-    g.add_argument("--csv", default=None, help="write <PREFIX>.edges.csv and <PREFIX>.vertices.csv")
+    g.add_argument(
+        "--dot", type=_file_path, default=None, help="write DOT here instead of stdout"
+    )
+    g.add_argument(
+        "--csv",
+        type=_file_path,
+        default=None,
+        help="write <PREFIX>.edges.csv and <PREFIX>.vertices.csv",
+    )
     _add_common(g, fmt=False, digits=False)
 
     return parser

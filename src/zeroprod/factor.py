@@ -6,12 +6,15 @@ for every n < 2**64; larger inputs are rejected rather than answered
 probabilistically.  Factorization strips small primes by trial division
 and splits the remainder with Brent's cycle-finding variant of Pollard
 rho, driven by a fixed parameter schedule so repeated runs are identical.
+The rho attempt itself is a kernel: ``kernels.brent_rho`` dispatches it
+to the compiled or the pure form, which return the same divisor.
 """
 
 from __future__ import annotations
 
 import math
 
+from zeroprod import kernels
 from zeroprod.arith import as_natural
 from zeroprod.errors import ContractViolationError, InvalidInputError
 
@@ -71,42 +74,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, c: int, x0: int = 2) -> int | None:
-    """One Brent rho attempt with polynomial x^2 + c; None if it degenerates."""
-    y, r, q = x0, 1, 1
-    g = 1
-    ys = y
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(128, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += 128
-        r *= 2
-    if g == n:
-        # Backtrack one step at a time from the last checkpoint.
-        g = 1
-        y = ys
-        while g == 1:
-            y = (y * y + c) % n
-            g = math.gcd(abs(x - y), n)
-    if g == n:
-        return None
-    return g
-
-
 def find_nontrivial_factor(n: int) -> int:
     """Some divisor d of a composite n with 1 < d < n.
 
-    Small prime divisors are found by trial division; otherwise Brent rho
-    runs with c = 1, 2, 3, ... from x0 = 2, so the returned divisor is a
-    deterministic function of n (though not necessarily the smallest).
+    Small prime divisors are found by trial division and squares by isqrt;
+    otherwise Brent rho (``kernels.brent_rho``, compiled or pure, with the
+    same result) runs with c = 1, 2, 3, ... from x0 = 2, so the returned
+    divisor is a deterministic function of n (though not necessarily the
+    smallest).
     """
     as_natural(n, "n")
     if n < 4 or is_prime(n):
@@ -121,7 +96,7 @@ def find_nontrivial_factor(n: int) -> int:
         return root
     c = 1
     while True:
-        d = _brent_rho(n, c)
+        d = kernels.brent_rho(n, c)
         if d is not None and 1 < d < n:
             return d
         c += 1

@@ -15,8 +15,23 @@ zero-product sets are found by enumeration and lifted to bitsets over
 the ring's elements, and an element's zero-product row is the AND of
 its components' bitsets.  Monte Carlo computes, rejects and reduces
 its splitmix64 draws a block at a time and tests each sampled pair's
-product.  Everything is plain integer arithmetic, so arbitrary-precision
-inputs work at the cost of speed.
+product.  Brent's rho (:func:`brent_rho`) splits the composites that
+:mod:`zeroprod.factor` cannot split by trial division.
+
+Two kernels have a compiled form, in ``_native.c``: Monte Carlo and
+Brent's rho, the two whose every step is a few big-integer operations.
+This module is their only dispatch point.  A call runs the compiled form
+when its arguments fit 64 bits (n, samples and seed for Monte Carlo; n,
+c and x0 for rho) and the library exists; otherwise it runs the pure
+form, which takes arbitrary-precision integers and returns the same
+values.  The extension module is built once per machine and Python, by
+the first import that finds it missing, into
+``__pycache__/_native-<crc32 of the source><extension suffix>`` through
+an atomic rename; a request never starts a compiler.  It is loaded at
+the first compiled call, so a process that runs neither kernel never
+loads it.  ``ZEROPROD_BACKEND=python`` selects
+the pure forms; :func:`backend` names the active backend and, when it is
+pure, why.
 
 Callers go through the module attribute (``kernels.ann_pair_count_zn``),
 not ``from ... import`` copies.
@@ -24,7 +39,11 @@ not ``from ... import`` copies.
 
 from __future__ import annotations
 
+import os
+import shutil
+import zlib
 from functools import reduce
+from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import compress, product, repeat
 from math import gcd, isqrt, prod
 from operator import and_, countOf, getitem, mod, mul, not_
@@ -38,11 +57,108 @@ _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024  # splitmix64 outputs computed side by side
 _TABLE_BYTES = 1 << 20  # cap on the size of the multiples table of Z_n
+_NATIVE_LIMIT = 1 << 64  # every argument of a compiled kernel is below this
+_HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def _build_native() -> tuple[str | None, str | None]:
+    """(path of the compiled kernels, None), or (None, why there are none).
+
+    A missing library is compiled from ``_native.c`` into a temporary
+    file beside its final name, then renamed into place, so concurrent
+    importers never load a partial file.  Its name holds the CRC-32 of the
+    source and the interpreter's extension suffix, so an edited source or
+    another Python builds its own.  A compiler that fails leaves a
+    ``.failed`` file holding its reason, and later imports read that
+    instead of compiling again; delete it to retry.
+    """
+    source = os.path.join(_HERE, "_native.c")
+    try:
+        with open(source, "rb") as fh:
+            key = zlib.crc32(fh.read())
+    except OSError as exc:
+        return None, f"no C source: {exc.strerror}"
+    cache = os.path.join(_HERE, "__pycache__")
+    library = os.path.join(cache, f"_native-{key:08x}{EXTENSION_SUFFIXES[0]}")
+    if os.path.exists(library):
+        return library, None
+    try:
+        with open(library + ".failed", encoding="utf-8") as fh:
+            return None, fh.read().strip()
+    except OSError:
+        pass
+    compiler = shutil.which("gcc")
+    if compiler is None:
+        return None, "no C compiler on PATH"
+    import subprocess
+    import sysconfig
+
+    include = sysconfig.get_paths()["include"]
+    tmp = f"{library}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(cache, exist_ok=True)
+        if not os.access(cache, os.W_OK):
+            return None, f"build failed: cannot write to {cache}"
+        done = subprocess.run(
+            [compiler, "-O2", "-shared", "-fPIC", f"-I{include}", "-o", tmp, source],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        if done.returncode == 0:
+            os.replace(tmp, library)
+            return library, None
+        lines = done.stderr.strip().splitlines() or [f"exit code {done.returncode}"]
+        why = f"build failed: {compiler}: {lines[0]}"
+        with open(library + ".failed", "w", encoding="utf-8") as fh:
+            fh.write(why + "\n")
+        return None, why
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        return None, f"build failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load_native(path: str):
+    """The extension module of compiled kernels at ``path``."""
+    from importlib.util import module_from_spec, spec_from_file_location
+
+    spec = spec_from_file_location("zeroprod._native", path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+if os.environ.get("ZEROPROD_BACKEND") == "python":
+    _native_path, _pure_reason = None, "forced by ZEROPROD_BACKEND=python"
+else:
+    _native_path, _pure_reason = _build_native()
+_native = None  # loaded at the first compiled call
+
+
+def _compiled():
+    """The loaded compiled kernels, or None on the pure backend."""
+    global _native, _native_path, _pure_reason
+    if _native is None and _native_path is not None:
+        try:
+            _native = _load_native(_native_path)
+        except ImportError as exc:
+            _native_path, _pure_reason = None, f"load failed: {exc}"
+    return _native
+
+
+def _fits_native(n: int, *rest: int) -> bool:
+    """The overflow predicate of both compiled kernels: 0 < n < 2**64 and
+    every other argument in [0, 2**64)."""
+    return 0 < n < _NATIVE_LIMIT and all(0 <= v < _NATIVE_LIMIT for v in rest)
 
 
 def backend() -> str:
-    """Name of the kernel implementation, reported by ``--backend``."""
-    return "python"
+    """The active kernel backend, reported by ``--backend``: "compiled",
+    or "python (<why>)".  Loads nothing."""
+    return "compiled" if _native_path is not None else f"python ({_pure_reason})"
 
 
 def gcd_sum(n: int) -> int:
@@ -240,15 +356,24 @@ def _splitmix64_blocks(seed: int, width: int, n: int):
 
 
 def mc_zero_pairs_zn(n: int, samples: int, seed: int) -> int:
-    """Count sampled pairs (x, y) with x*y = 0 in Z_n.
+    """Count sampled pairs (x, y) with x*y = 0 in Z_n, n >= 1.
 
     Draws come from splitmix64 with rejection sampling: a 64-bit output r
     is accepted iff r < 2**64 - (2**64 mod n), then reduced mod n.  Each
     sample consumes draws for x first, then y, so any implementation of
-    this procedure reproduces the stream bit for bit.  Here x and y are
-    reduced only to below 2n, which does not change whether n | x*y.  A
-    block's draws pair up at its even and odd positions; an odd last
-    draw is the x of the next block's first sample.
+    this procedure reproduces the stream bit for bit: the compiled form
+    runs when n, samples and seed are below 2**64.
+    """
+    if _fits_native(n, samples, seed) and (native := _compiled()) is not None:
+        return native.mc_zero_pairs(n, samples, seed)
+    return _mc_zero_pairs_py(n, samples, seed)
+
+
+def _mc_zero_pairs_py(n: int, samples: int, seed: int) -> int:
+    """Pure :func:`mc_zero_pairs_zn`.  Here x and y are reduced only to
+    below 2n, which does not change whether n | x*y.  A block's draws
+    pair up at its even and odd positions; an odd last draw is the x of
+    the next block's first sample.
     """
     blocks = _splitmix64_blocks(seed, min(_BLOCK, 2 * samples), n)
     hits = 0
@@ -261,3 +386,43 @@ def mc_zero_pairs_zn(n: int, samples: int, seed: int) -> int:
         samples -= end // 2
         draws = draws[end:]
     return hits
+
+
+def brent_rho(n: int, c: int, x0: int = 2) -> int | None:
+    """One Brent rho attempt on n >= 2 with polynomial y^2 + c from x0:
+    a divisor of n above 1, or None if the attempt degenerates (every
+    gcd met n).  The compiled form runs when n, c and x0 are below 2**64.
+    """
+    if _fits_native(n, c, x0) and (native := _compiled()) is not None:
+        return native.brent_rho(n, c, x0) or None
+    return _brent_rho_py(n, c, x0)
+
+
+def _brent_rho_py(n: int, c: int, x0: int) -> int | None:
+    """Pure :func:`brent_rho`: gcd batches of 128 and a step-by-step
+    backtrack from the last checkpoint when a batch's gcd meets n."""
+    y, r, q = x0, 1, 1
+    g = 1
+    ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        g = 1
+        y = ys
+        while g == 1:
+            y = (y * y + c) % n
+            g = gcd(abs(x - y), n)
+    if g == n:
+        return None
+    return g

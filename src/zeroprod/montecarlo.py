@@ -3,8 +3,10 @@
 Simulates the defining experiment directly: draw ordered pairs (x, y)
 uniformly with replacement from Z_n and count products equal to zero.
 Draws come from splitmix64 with rejection (see
-``kernels.mc_zero_pairs_zn``): fixed 64-bit integer arithmetic, so a
-given (n, samples, seed) triple gives the same hits on any platform.
+``kernels.mc_zero_pairs_zn``, the dispatch point between the compiled
+and the pure sampler): fixed 64-bit integer arithmetic, so a given
+(n, samples, seed) triple gives the same hits on any platform and
+either backend.
 The deviation test against the exact value is done in exact rational
 arithmetic: the estimate is within 3 standard errors iff
 

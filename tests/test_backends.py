@@ -1,0 +1,305 @@
+"""The compiled and the pure kernels agree, and the compiled ones are
+built only at import and loaded only by the kernels that use them."""
+
+import json
+import os
+import random
+import shutil
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import zeroprod
+from zeroprod import kernels
+from zeroprod.factor import is_prime
+
+_MASK = (1 << 64) - 1
+_PACKAGE = Path(zeroprod.__file__).resolve().parent
+
+_MC_MODULI = [2, 4, 6, 12, 100, 1234, 3600, 2**31 - 1, 2**32, 2**32 + 1, 2**63, 2**63 + 1, _MASK]
+_MC_SEEDS = [0, 7, 12345, _MASK]
+_MC_SAMPLES = [0, 1, 1023, 1024, 1025, 10**4]
+
+
+@pytest.mark.parametrize("n", _MC_MODULI)
+def test_mc_backends_agree_on_the_grid(native_kernels, n):
+    total = 0
+    for seed in _MC_SEEDS:
+        for samples in _MC_SAMPLES:
+            hits = native_kernels.mc_zero_pairs(n, samples, seed)
+            assert hits == kernels._mc_zero_pairs_py(n, samples, seed), (n, samples, seed)
+            total += hits
+    assert total > 0 or n > 3600  # the hit test ran, not only the draws
+
+
+_GATE_MODULI = [2**31 - 1, 2**31 + 1, 2**32 - 1, 2**32 + 1, 2**63, _MASK] + [
+    2**k for k in range(64)
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from(_GATE_MODULI),
+    seed=st.sampled_from([0, _MASK]) | st.integers(0, _MASK),
+    samples=st.integers(0, 2000),
+)
+def test_mc_backends_agree_at_the_gates(native_kernels, n, seed, samples):
+    assert native_kernels.mc_zero_pairs(n, samples, seed) == kernels._mc_zero_pairs_py(
+        n, samples, seed
+    )
+
+
+def _random_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        if is_prime(p):
+            return p
+
+
+def _rho_both(lib, n, c, x0=2):
+    got = lib.brent_rho(n, c, x0) or None
+    assert got == kernels._brent_rho_py(n, c, x0), (n, c, x0)
+    return got
+
+
+def test_rho_backends_agree_on_semiprimes_and_squares(native_kernels):
+    rng = random.Random(20)
+    for _ in range(12):
+        p, q = _random_prime(rng, 32), _random_prime(rng, 32)
+        for c in (1, 2):
+            d = _rho_both(native_kernels, p * q, c)
+            assert d in (p, q, p * q, None)
+        # find_nontrivial_factor catches squares by isqrt, so call rho here.
+        assert _rho_both(native_kernels, p * p, 1) in (p, None)
+
+
+def test_rho_backends_agree_near_two_to_the_64(native_kernels):
+    composites = [n for n in range(2**64 - 16, 2**64) if not is_prime(n)]
+    assert len(composites) > 10
+    for n in composites:
+        for c in (1, 2, _MASK - n):  # the last makes y^2 + c reach 2**64
+            d = _rho_both(native_kernels, n, c)
+            assert d is None or n % d == 0
+
+
+def test_rho_backends_agree_when_an_attempt_degenerates(native_kernels):
+    for n, c in ((25, 1), (4, 1), (35, 1)):
+        assert _rho_both(native_kernels, n, c) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 2**16), c=st.integers(0, _MASK), x0=st.integers(0, _MASK))
+def test_rho_backends_agree_on_any_start(native_kernels, n, c, x0):
+    _rho_both(native_kernels, n, c, x0)
+
+
+def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypatch):
+    calls = []
+    for name in ("_mc_zero_pairs_py", "_brent_rho_py"):
+        monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
+    kernels.mc_zero_pairs_zn(1 << 64, 1, 0)
+    kernels.mc_zero_pairs_zn(5, 1 << 64, 0)
+    kernels.mc_zero_pairs_zn(5, 1, 1 << 64)
+    kernels.brent_rho(1 << 64, 1)
+    kernels.brent_rho(15, 1 << 64)
+    kernels.mc_zero_pairs_zn(2**64 - 1, 10, _MASK)
+    kernels.brent_rho(2**64 - 1, 1)
+    assert calls == ["_mc_zero_pairs_py"] * 3 + ["_brent_rho_py"] * 2
+
+
+def test_compiled_kernels_reject_what_does_not_fit(native_kernels):
+    for kernel in (native_kernels.mc_zero_pairs, native_kernels.brent_rho):
+        for args in ((1 << 64, 1, 1), (5, -1, 1), (5, 1, 1 << 64)):
+            with pytest.raises(OverflowError):
+                kernel(*args)
+        with pytest.raises(ValueError):
+            kernel(0, 1, 1)
+        with pytest.raises(TypeError):
+            kernel(5, 1)
+
+
+_LONG_RUN = """
+from zeroprod import kernels
+print("running", flush=True)
+kernels.mc_zero_pairs_zn(7, 1 << 62, 1)
+"""
+
+
+def test_interrupt_ends_a_long_compiled_run(native_kernels):
+    with subprocess.Popen(
+        [sys.executable, "-c", _LONG_RUN],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_env(),
+    ) as proc:
+        assert proc.stdout.readline() == "running\n"
+        time.sleep(0.3)
+        proc.send_signal(signal.SIGINT)
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode != 0
+    assert "KeyboardInterrupt" in err
+
+
+# Runs CLI requests in one fresh interpreter and prints what each gave.
+_RUN_REQUESTS = """
+import contextlib, io, json, sys
+from zeroprod import cli, kernels
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps({"backend": kernels.backend(), "results": results}))
+"""
+
+
+def _env(**changes):
+    """This environment on the default backend, with ``changes``."""
+    env = {k: v for k, v in os.environ.items() if k != "ZEROPROD_BACKEND"}
+    return {**env, **changes}
+
+
+def _run_requests(requests, **env_changes):
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_REQUESTS, json.dumps(requests)],
+        capture_output=True,
+        text=True,
+        env=_env(**env_changes),
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def _benchmark_requests():
+    """One request of each prob-closed-form kind and the enum-kernels
+    montecarlo request, drawn as the benchmark draws them."""
+    rng = random.Random(801)
+    semi = _random_prime(rng, 32) * _random_prime(rng, 32)
+    prime = _random_prime(rng, 63)
+    tri = _random_prime(rng, 20) * _random_prime(rng, 20) * _random_prime(rng, 20)
+    ring = "x".join(f"Zn({_random_prime(rng, 24) * _random_prime(rng, 24)})" for _ in range(3))
+    mc = ["montecarlo", str(rng.randint(100, 5000)), "--samples", "1000000"]
+    return [
+        ["prob", str(semi)],
+        ["prob", str(prime), "--format", "json"],
+        ["prob", str(tri)],
+        ["prob", "--ring", ring],
+        [*mc, "--seed", str(rng.getrandbits(32))],
+        ["montecarlo", str(2**64 - 1), "--samples", "1000", "--seed", str(_MASK)],
+        ["montecarlo", str(2**40), "--samples", "1000", "--seed", "0", "--format", "csv"],
+    ]
+
+
+def test_cli_bytes_identical_across_backends(native_kernels):
+    requests = _benchmark_requests()
+    compiled = _run_requests(requests)
+    pure = _run_requests(requests, ZEROPROD_BACKEND="python")
+    assert compiled["backend"] == "compiled"
+    assert pure["backend"] == "python (forced by ZEROPROD_BACKEND=python)"
+    assert all(code == 0 for code, _ in compiled["results"])
+    assert compiled["results"] == pure["results"]
+
+
+_PROBE_MODULES = """
+import sys
+import zeroprod.cli
+print(sorted(m for m in ("ctypes", "subprocess", "cffi", "hashlib") if m in sys.modules))
+"""
+
+
+def test_import_loads_no_build_or_binding_module(native_kernels):
+    # The native_kernels fixture has built the module, so the cache is warm.
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE_MODULES], capture_output=True, text=True, env=_env()
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+_PROBE_LOADS = """
+import contextlib, io, sys
+from zeroprod import cli, kernels
+
+def never():
+    raise AssertionError("only an import builds the library")
+
+kernels._build_native = never
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["scan", "30000", "30023", "--format", "csv"]) == 0
+    assert cli.main(["verify", "--max", "300", "--jobs", "2"]) == 0
+print(kernels._native is None, "ctypes" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["prob", "18446743979220271189"]) == 0  # two 32-bit primes
+print(kernels._native is None)
+"""
+
+
+def test_scan_and_verify_leave_the_library_unloaded(native_kernels):
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE_LOADS], capture_output=True, text=True, env=_env()
+    )
+    assert done.returncode == 0, done.stderr
+    # and a request that splits a 64-bit semiprime does load it
+    assert done.stdout == "True False\nFalse\n"
+
+
+def _copy_package(root: Path) -> Path:
+    """The package sources alone under ``root``, with an empty cache."""
+    target = root / "zeroprod"
+    target.mkdir(parents=True)
+    for path in [*_PACKAGE.glob("*.py"), _PACKAGE / "_native.c"]:
+        shutil.copy(path, target / path.name)
+    return target
+
+
+def test_no_compiler_falls_back_to_pure(tmp_path):
+    package = _copy_package(tmp_path / "pkg")
+    empty_bin = tmp_path / "bin"
+    empty_bin.mkdir()
+    requests = [
+        ["--backend"],
+        *_benchmark_requests()[:1],
+        ["montecarlo", "1234", "--samples", "5000"],
+    ]
+    pure = _run_requests(requests, PATH=str(empty_bin), PYTHONPATH=str(package.parent))
+    assert pure["backend"] == "python (no C compiler on PATH)"
+    assert pure["results"][0] == [0, "kernel backend: python (no C compiler on PATH)\n"]
+    assert not list((package / "__pycache__").glob("_native*"))
+    usual = _run_requests(requests[1:])
+    assert pure["results"][1:] == usual["results"]
+
+
+def test_failed_build_is_recorded_and_not_retried(tmp_path):
+    package = _copy_package(tmp_path / "pkg")
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    runs = tmp_path / "runs"
+    fake = bin_dir / "gcc"
+    fake.write_text(f'#!/bin/sh\necho run >> "{runs}"\necho "cannot compile" >&2\nexit 1\n')
+    fake.chmod(0o755)
+    want = f"python (build failed: {fake}: cannot compile)"
+    for _ in range(2):
+        found = _run_requests([], PATH=str(bin_dir), PYTHONPATH=str(package.parent))
+        assert found["backend"] == want
+    assert runs.read_text() == "run\n"
+    assert not list((package / "__pycache__").glob("*.tmp"))
+
+
+def test_cold_cache_builds_at_import(native_kernels, tmp_path):
+    package = _copy_package(tmp_path / "pkg")
+    found = _run_requests([["prob", "18446743979220271189"]], PYTHONPATH=str(package.parent))
+    assert found["backend"] == "compiled"
+    built = [p.name for p in (package / "__pycache__").glob("_native*")]
+    assert len(built) == 1 and built[0].endswith(".so")
+    assert found["results"] == _run_requests([["prob", "18446743979220271189"]])["results"]

@@ -3,6 +3,7 @@ import functools
 import gc
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,6 +349,41 @@ class TestRejectedInputs:
             assert exc.value.code == 1
             assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("prob", "12"),
+            ("bounds", "12"),
+            ("scan", "2", "4", "--format", "csv"),
+            ("montecarlo", "2", "--samples", "1", "--seed", "0"),  # estimate 1/1
+        ],
+    )
+    def test_digits_upper_bound(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--digits", "4300")
+        assert code == 0
+        assert re.search(r"(?<![\d.])\d+\.\d{4300}(?![\d.])", out)
+        # Beyond the bound is a usage error before any work, however large.
+        for digits in ("4301", "99999999999999999999"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--digits", digits])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--digits: must be <= 4300" in captured.err
+
+    def test_graph_output_path_without_a_file_name(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        for option in ("--csv", "--dot"):
+            for path in ("", "d/"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["graph", "12", option, path])
+                assert exc.value.code == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "must end in a file name" in captured.err
+                assert [p.name for p in tmp_path.rglob("*")] == ["d"]
+
     def test_montecarlo_samples_beyond_64_bits(self, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("the sampler must not run")
@@ -404,10 +440,14 @@ class TestDeterminismAcrossProcesses:
         assert one.stdout == two.stdout
 
 
-def test_backend_flag(capsys):
-    code, out, _ = run_cli(capsys, "--backend")
-    assert code == 0
-    assert out == "kernel backend: python\n"
+def test_backend_flag(capsys, monkeypatch):
+    # Either backend may be active here; each is reported in its own words.
+    monkeypatch.setattr(zeroprod.kernels, "_native_path", "_native-00000000.so")
+    assert run_cli(capsys, "--backend") == (0, "kernel backend: compiled\n", "")
+    monkeypatch.setattr(zeroprod.kernels, "_native_path", None)
+    monkeypatch.setattr(zeroprod.kernels, "_pure_reason", "no C compiler on PATH")
+    want = "kernel backend: python (no C compiler on PATH)\n"
+    assert run_cli(capsys, "--backend") == (0, want, "")
 
 
 def test_missing_subcommand_is_usage_error(capsys):

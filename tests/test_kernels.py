@@ -275,7 +275,7 @@ def _odd_blocks(blocks):
 
 
 @pytest.mark.parametrize("n", [2, 6, 100, 3600])
-def test_mc_pairs_draws_across_odd_blocks(monkeypatch, n):
+def test_mc_pairs_draws_across_odd_blocks(monkeypatch, pure_backend, n):
     monkeypatch.setattr(kernels, "_splitmix64_blocks", _odd_blocks(kernels._splitmix64_blocks))
     # Block ends fall after draws 1, 4, 1027 and 1032: 513 samples end
     # one draw before the end of a block, 514 one draw after it and 516
@@ -328,7 +328,7 @@ def test_rejection_threshold_is_exact(n):
         assert kernels.mc_zero_pairs_zn(n, 600, seed) == _reference_mc(n, 600, seed)
 
 
-def test_mc_carries_an_odd_draw_between_blocks():
+def test_mc_carries_an_odd_draw_between_blocks(pure_backend):
     # About half of all draws are rejected at n = 2**63 + 1, so blocks
     # keep odd numbers of draws and a sample spans two blocks.
     n = 2**63 + 1
