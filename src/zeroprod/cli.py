@@ -143,9 +143,9 @@ def _emit_record(record: dict, fmt: str, out) -> None:
 
 
 def _closed_prob(spec: RingSpec) -> tuple[Fraction, str]:
-    if isinstance(spec, Zn):
-        return p_zn(spec.n), "closed-form"
-    parts = [_closed_prob(f)[0] for f in spec.factors]
+    parts = [p_zn(m) for m in spec.moduli]
+    if len(parts) == 1:
+        return parts[0], "closed-form"
     return p_product(parts), "product"
 
 

@@ -22,13 +22,10 @@ from zeroprod.rings import (
     Caps,
     DEFAULT_CAPS,
     RingSpec,
-    Zn,
+    _ann_size,
     _require_pairwise,
-    ann_size,
     element_mul,
     element_str,
-    leaf_digits,
-    leaf_moduli,
     zero_divisor_set,
     zero_element,
 )
@@ -55,15 +52,16 @@ def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     """Construct the graph by enumerating vertex pairs (O(|Z(R)|^2)).
 
     The vertices ascend, so the kernels give the edges in ascending order.
+    Product vertices are already flat digit tuples, the kernels' input.
     """
     _require_pairwise(spec, caps)
     verts = sorted(zero_divisor_set(spec, caps))
     zero = zero_element(spec)
-    if isinstance(spec, Zn):
-        index_pairs = kernels.graph_edges_zn(spec.n, verts)
+    mods = spec.moduli
+    if len(mods) == 1:
+        index_pairs = kernels.graph_edges_zn(mods[0], verts)
     else:
-        digits = [leaf_digits(x) for x in verts]
-        index_pairs = kernels.graph_edges_mixed(leaf_moduli(spec), digits)
+        index_pairs = kernels.graph_edges_mixed(mods, verts)
     edge_list = tuple((verts[i], verts[j]) for i, j in index_pairs)
     self_ann = frozenset(
         x for x in verts if element_mul(spec, x, x) == zero
@@ -139,7 +137,7 @@ def export_vertices_csv(g: ZeroDivisorGraph) -> str:
         writer.writerow(
             [
                 element_str(x),
-                ann_size(g.spec, x),
+                _ann_size(g.spec, x),
                 "true" if x in g.self_annihilators else "false",
             ]
         )

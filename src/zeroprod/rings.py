@@ -1,9 +1,13 @@
 """Finite commutative ring models and the measured (brute-force) oracles.
 
-Two models are supported: Z_n for n >= 2, and finite direct products of
-models with componentwise operations.  Every enumeration-based operation
-takes a :class:`Caps` budget and refuses rings above it, so CLI behavior
-stays predictable no matter what modulus a user types.
+Two models are supported: Z_n for n >= 2, and finite direct products
+Z_{m1} x ... x Z_{mr} with componentwise operations.  A ring is its
+tuple of moduli, ``spec.moduli``: ``Zn(n)`` is the one-modulus case, and
+a :class:`Product` flattens nested factors when it is built.  Elements
+of Z_n are plain ints; elements of a product are flat tuples of digits,
+one residue per modulus.  Every enumeration-based operation takes a
+:class:`Caps` budget and refuses rings above it, so CLI behavior stays
+predictable no matter what modulus a user types.
 
 The measured quantities here (annihilator sizes, zero-divisor counts,
 ordered zero-product pair counts) are what the closed-form layer in
@@ -15,8 +19,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import prod
 
 from zeroprod import kernels
 from zeroprod.arith import as_natural, rat_make
@@ -63,23 +69,40 @@ class Zn:
                 "an identity distinct from 0 are exempt (modulus must be >= 2)"
             )
 
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        return (self.n,)
+
     def __str__(self) -> str:
         return f"Zn({self.n})"
 
 
 @dataclass(frozen=True)
 class Product:
-    """A direct product of ring models, componentwise arithmetic."""
+    """A direct product Z_{m1} x ... x Z_{mr}, componentwise arithmetic.
+
+    Nested products flatten when built: ``Product((Zn(4), Product((Zn(2),
+    Zn(3)))))`` equals ``Product((Zn(4), Zn(2), Zn(3)))``.  ``factors``
+    holds the Zn rings in left-to-right order and ``moduli`` their
+    moduli; an element is a flat tuple of one digit per modulus.
+    """
 
     factors: tuple["RingSpec", ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) < 2:
+        given = tuple(self.factors)
+        if len(given) < 2:
             raise InvalidInputError("a product ring needs at least two factors")
-        for f in self.factors:
+        factors = []
+        for f in given:
             if not isinstance(f, (Zn, Product)):
                 raise InvalidInputError(f"not a ring spec: {f!r}")
+            factors += f.factors if isinstance(f, Product) else (f,)
+        object.__setattr__(self, "factors", tuple(factors))
+
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        return tuple(f.n for f in self.factors)
 
     def __str__(self) -> str:
         return "x".join(str(f) for f in self.factors)
@@ -114,67 +137,43 @@ def parse_ring(text: str) -> RingSpec:
 
 
 def ring_order(spec: RingSpec) -> int:
-    """|R|: the modulus for Zn, the product of factor orders for products."""
-    if isinstance(spec, Zn):
-        return spec.n
-    out = 1
-    for f in spec.factors:
-        out *= ring_order(f)
-    return out
-
-
-def leaf_moduli(spec: RingSpec) -> tuple[int, ...]:
-    """Moduli of the Zn leaves in left-to-right order."""
-    if isinstance(spec, Zn):
-        return (spec.n,)
-    out: tuple[int, ...] = ()
-    for f in spec.factors:
-        out += leaf_moduli(f)
-    return out
-
-
-def leaf_digits(x) -> tuple[int, ...]:
-    """Residues of an element's Zn leaves in left-to-right order."""
-    if isinstance(x, tuple):
-        return tuple(d for c in x for d in leaf_digits(c))
-    return (x,)
+    """|R|: the product of the moduli."""
+    return prod(spec.moduli)
 
 
 def zero_element(spec: RingSpec):
-    if isinstance(spec, Zn):
-        return 0
-    return tuple(zero_element(f) for f in spec.factors)
+    return 0 if len(spec.moduli) == 1 else (0,) * len(spec.moduli)
 
 
 def elements(spec: RingSpec):
     """All elements in canonical order (ascending residues, lexicographic)."""
-    if isinstance(spec, Zn):
-        return iter(range(spec.n))
-    return itertools.product(*(elements(f) for f in spec.factors))
+    if len(spec.moduli) == 1:
+        return iter(range(spec.moduli[0]))
+    return itertools.product(*map(range, spec.moduli))
 
 
 def element_mul(spec: RingSpec, a, b):
-    if isinstance(spec, Zn):
-        return (a * b) % spec.n
-    return tuple(
-        element_mul(f, x, y) for f, x, y in zip(spec.factors, a, b)
-    )
+    mods = spec.moduli
+    if len(mods) == 1:
+        return a * b % mods[0]
+    return tuple(x * y % m for x, y, m in zip(a, b, mods))
 
 
 def validate_element(spec: RingSpec, x) -> None:
-    if isinstance(spec, Zn):
-        if not isinstance(x, int) or not 0 <= x < spec.n:
-            raise InvalidInputError(f"{x!r} is not a residue of {spec}")
-        return
-    if not isinstance(x, tuple) or len(x) != len(spec.factors):
+    """Raise unless x is an element: one int residue per modulus, packed
+    in a tuple for a product.  As in ``as_natural``, a bool is no residue."""
+    digits = (x,) if len(spec.moduli) == 1 else x
+    if not isinstance(digits, tuple) or len(digits) != len(spec.moduli):
         raise InvalidInputError(f"{x!r} does not match the arity of {spec}")
-    for f, c in zip(spec.factors, x):
-        validate_element(f, c)
+    for d, m in zip(digits, spec.moduli):
+        if not isinstance(d, int) or isinstance(d, bool) or not 0 <= d < m:
+            raise InvalidInputError(f"{d!r} is not a residue of Zn({m})")
 
 
 def element_str(x) -> str:
+    """``5`` for a Z_n element, ``(1,0,2)`` for a product element."""
     if isinstance(x, tuple):
-        return "(" + ",".join(element_str(c) for c in x) + ")"
+        return "(" + ",".join(map(str, x)) + ")"
     return str(x)
 
 
@@ -204,43 +203,43 @@ def ann_size_zn(n: int, x: int) -> int:
     """
     if as_natural(n, "n") < 2:
         raise InvalidInputError("n must be >= 2")
-    if not 0 <= as_natural(x, "x") < n:
-        raise InvalidInputError(f"residue {x} out of range for Zn({n})")
-    return _int_gcd(x, n)
+    return ann_size(Zn(n), x)
+
+
+def _ann_size(spec: RingSpec, x) -> int:
+    """|Ann(x)| for an element known to be valid."""
+    mods = spec.moduli
+    if len(mods) == 1:
+        return _int_gcd(x, mods[0])
+    return prod(map(_int_gcd, x, mods))
 
 
 def ann_size(spec: RingSpec, x) -> int:
-    """|Ann(x)| for any supported model; products multiply componentwise."""
-    if isinstance(spec, Zn):
-        return ann_size_zn(spec.n, x)
+    """|Ann(x)|: the product of gcd(d, m) over the digits d of x and the
+    moduli m, with gcd(0, m) = m."""
     validate_element(spec, x)
-    out = 1
-    for f, c in zip(spec.factors, x):
-        out *= ann_size(f, c)
-    return out
+    return _ann_size(spec, x)
 
 
 def ann_set(spec: RingSpec, x, caps: Caps = DEFAULT_CAPS) -> set:
     """{ y : x*y = 0 }, by enumerating the ring."""
     validate_element(spec, x)
     _require_single(spec, caps)
-    if isinstance(spec, Zn):
-        n = spec.n
-        return {y for y in range(n) if (x * y) % n == 0}
     zero = zero_element(spec)
     return {y for y in elements(spec) if element_mul(spec, x, y) == zero}
 
 
 def zero_divisor_set(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> set:
-    """All nonzero x that kill some nonzero y (the vertex set Z(R))."""
+    """All nonzero x that kill some nonzero y (the vertex set Z(R)): the
+    nonzero x with |Ann(x)| >= 2."""
     _require_single(spec, caps)
-    if isinstance(spec, Zn):
-        n = spec.n
+    mods = spec.moduli
+    if len(mods) == 1:
+        n = mods[0]
         return {x for x in range(1, n) if _int_gcd(x, n) >= 2}
-    zero = zero_element(spec)
-    return {
-        x for x in elements(spec) if x != zero and ann_size(spec, x) >= 2
-    }
+    out = {x for x in elements(spec) if _ann_size(spec, x) >= 2}
+    out.discard(zero_element(spec))
+    return out
 
 
 @dataclass(eq=True)
@@ -292,11 +291,11 @@ def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
     """Measure the annihilator profile of the ring in one kernel pass.
 
     This is the only caller of the annihilator-histogram kernel, which
-    takes Z_n as a one-leaf product: every measured k, m and
+    takes Z_n as a one-modulus product: every measured k, m and
     zero-product count in the package comes from here.
     """
     order = _require_single(spec, caps)
-    hist = kernels.ann_size_histogram_mixed(leaf_moduli(spec))
+    hist = kernels.ann_size_histogram_mixed(spec.moduli)
     return AnnProfile.from_histogram(hist, order)
 
 
@@ -325,9 +324,10 @@ def gcd_sum(n: int) -> int:
 def pair_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:
     """Ordered pairs (x, y) with x*y = 0, by O(|R|^2) pair enumeration."""
     _require_pairwise(spec, caps)
-    if isinstance(spec, Zn):
-        return kernels.ann_pair_count_zn(spec.n)
-    return kernels.ann_pair_count_mixed(leaf_moduli(spec))
+    mods = spec.moduli
+    if len(mods) == 1:
+        return kernels.ann_pair_count_zn(mods[0])
+    return kernels.ann_pair_count_mixed(mods)
 
 
 def ann_count_total(

@@ -14,7 +14,7 @@ import zeroprod.cli
 import zeroprod.kernels
 import zeroprod.verify
 from zeroprod.cli import main
-from zeroprod.rings import AnnProfile
+from zeroprod.rings import AnnProfile, Product, Zn, parse_ring
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +36,19 @@ class TestProb:
         assert code == 0
         assert "5/12" in out
         assert "product" in out
+
+    def test_one_factor_ring_is_the_closed_form(self, capsys):
+        code, out, _ = run_cli(capsys, "prob", "--ring", "Zn(12)")
+        assert code == 0
+        assert "closed-form" in out
+        assert run_cli(capsys, "prob", "12") == (0, out, "")
+
+    def test_nested_spec_matches_its_flat_form(self):
+        nested = Product((Product((Zn(2), Zn(3))), Zn(4)))
+        flat = parse_ring("Zn(2)xZn(3)xZn(4)")
+        assert str(nested) == str(flat)
+        assert zeroprod.cli._closed_prob(nested) == zeroprod.cli._closed_prob(flat)
+        assert zeroprod.cli._closed_prob(flat) == (Fraction(5, 12) * Fraction(1, 2), "product")
 
     def test_excluded_ring_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "prob", "1")

@@ -11,7 +11,8 @@ import zeroprod.cli  # noqa: F401  (loads every module whose bindings are counte
 from zeroprod import factor, kernels, rings, verify
 from zeroprod.errors import ResourceLimitError
 from zeroprod.formulas import ann_profile_from_factorization, bounds_report
-from zeroprod.rings import Caps, Product, Zn
+from zeroprod.graph import build_graph, export_dot, export_edges_csv, export_vertices_csv
+from zeroprod.rings import Caps, Product, Zn, parse_ring
 from zeroprod.scan import scan_row
 from zeroprod.verify import ordered_map, run_verify
 
@@ -25,6 +26,7 @@ def calls(monkeypatch):
         factor.factorize,
         factor.is_prime,
         rings.ann_profile,
+        rings.validate_element,
     ]
     counts = {fn.__name__: 0 for fn in originals}
     for original in originals:
@@ -99,6 +101,17 @@ def test_closed_form_tests_no_prime_again(calls):
     for n in range(30000, 30024):
         scan_row(n)
     assert calls["is_prime"] == 0
+
+
+def test_graph_and_exports_validate_no_element(calls):
+    """The graph makes its own elements, so it never checks one."""
+    g = build_graph(parse_ring("Zn(9)xZn(12)xZn(10)"))
+    for export in (export_dot, export_edges_csv, export_vertices_csv):
+        export(g)
+    assert len(g.vertices) == 1080 - 6 * 4 * 4 - 1  # all but units and 0
+    assert calls["validate_element"] == 0
+    rings.ann_size(g.spec, g.vertices[0])  # the public entry checks, once
+    assert calls["validate_element"] == 1
 
 
 class _CountingPool:

@@ -10,6 +10,8 @@ from zeroprod.errors import (
     ResourceLimitError,
     RingParseError,
 )
+from zeroprod.formulas import bounds_report
+from zeroprod.graph import build_graph, export_dot, export_edges_csv, export_vertices_csv
 from zeroprod.rings import (
     AnnProfile,
     Caps,
@@ -47,6 +49,8 @@ class TestSpecs:
         with pytest.raises(InvalidInputError):
             Product((Zn(4),))
         with pytest.raises(InvalidInputError):
+            Product((Product((Zn(2), Zn(3))),))
+        with pytest.raises(InvalidInputError):
             Product((Zn(4), 5))
 
     def test_ring_order(self):
@@ -62,6 +66,31 @@ class TestSpecs:
     def test_str(self):
         assert str(Zn(12)) == "Zn(12)"
         assert str(Product((Zn(4), Zn(9)))) == "Zn(4)xZn(9)"
+
+
+class TestNestedEqualsFlat:
+    nested = Product((Zn(4), Product((Zn(2), Zn(3)))))
+    flat = Product((Zn(4), Zn(2), Zn(3)))
+
+    def test_same_spec(self):
+        assert self.nested == self.flat
+        assert hash(self.nested) == hash(self.flat)
+        assert self.nested.factors == (Zn(4), Zn(2), Zn(3))
+        assert self.nested.moduli == self.flat.moduli == (4, 2, 3)
+        assert str(self.nested) == str(self.flat) == "Zn(4)xZn(2)xZn(3)"
+
+    def test_elements_are_flat_triples(self):
+        got = list(elements(self.nested))
+        assert got == list(itertools.product(range(4), range(2), range(3)))
+        assert all(len(x) == 3 and all(type(d) is int for d in x) for x in got)
+
+    def test_same_results(self):
+        a, b = build_graph(self.nested), build_graph(self.flat)
+        assert a == b
+        for export in (export_dot, export_edges_csv, export_vertices_csv):
+            assert export(a) == export(b)
+        assert prob_brute(self.nested, paranoid=True) == prob_brute(self.flat, paranoid=True)
+        assert bounds_report(self.nested) == bounds_report(self.flat)
 
 
 class TestParse:
@@ -102,7 +131,9 @@ class TestElements:
     def test_element_str(self):
         assert element_str(5) == "5"
         assert element_str((0, 1)) == "(0,1)"
-        assert element_str(((1, 0), 2)) == "((1,0),2)"
+        # a nested product's elements are flat, and so are their labels
+        nested = Product((Product((Zn(2), Zn(2))), Zn(3)))
+        assert element_str(list(elements(nested))[5]) == "(0,1,2)"
 
 
 class TestAnnSet:
@@ -137,6 +168,26 @@ class TestAnnSet:
             ann_set(Zn(4), 4)
         with pytest.raises(InvalidInputError):
             ann_set(Product((Zn(2), Zn(2))), (0, 1, 0))
+
+
+class TestElementRule:
+    """ann_set and ann_size accept and reject the same elements."""
+
+    @pytest.mark.parametrize(
+        "spec,x",
+        [
+            (Zn(4), True),
+            (Product((Zn(2), Zn(3))), (True, 2)),
+            (Product((Zn(2), Zn(3))), (1, 2, 0)),
+            (Product((Zn(4), Product((Zn(2), Zn(3))))), (1, (0, 2))),
+        ],
+        ids=str,
+    )
+    def test_both_reject(self, spec, x):
+        with pytest.raises(InvalidInputError):
+            ann_set(spec, x)
+        with pytest.raises(InvalidInputError):
+            ann_size(spec, x)
 
 
 class TestAnnSize:
