@@ -77,20 +77,16 @@ def is_prime(n: int) -> bool:
 def find_nontrivial_factor(n: int) -> int:
     """Some divisor d of a composite n with 1 < d < n.
 
-    Small prime divisors are found by trial division and squares by isqrt;
-    otherwise Brent rho (``kernels.brent_rho``, compiled or pure, with the
-    same result) runs with c = 1, 2, 3, ... from x0 = 2, so the returned
-    divisor is a deterministic function of n (though not necessarily the
-    smallest).
+    Squares are split by isqrt; otherwise Brent rho (``kernels.brent_rho``,
+    compiled or pure, with the same result) runs with c = 1, 2, 3, ...
+    from x0 = 2, so the returned divisor is a deterministic function of n
+    (though not necessarily the smallest).
     """
     as_natural(n, "n")
     if n < 4 or is_prime(n):
         raise ContractViolationError(
             f"find_nontrivial_factor requires a composite n >= 4, got {n}"
         )
-    for p in _trial_primes():
-        if n % p == 0:
-            return p
     root = math.isqrt(n)
     if root * root == n:
         return root

@@ -20,7 +20,9 @@ from fractions import Fraction
 from math import gcd, prod
 
 from zeroprod.arith import as_natural, histogram_product, rat_decimal, rat_make, rat_str
-from zeroprod.errors import ExcludedRingError, InvalidInputError, ZeroDenominatorError
+from zeroprod.errors import (
+    ExcludedRingError, InvalidInputError, OracleMismatchError, ZeroDenominatorError,
+)
 from zeroprod.factor import Factorization, factorize, is_prime
 from zeroprod.rings import (
     AnnProfile,
@@ -263,20 +265,25 @@ def bounds_report(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> BoundsReport:
 
     This is a verification artifact: nothing here is predicted from n, so
     a false ``all_hold`` can only mean the implementation (or the math)
-    is wrong.
+    is wrong; an impossible measured k, m or |Ann| raises OracleMismatchError.
     """
     order = ring_order(spec)
     profile = ann_profile(spec, caps)
     l2 = order * order
     count = profile.ann_count()
-    lower, upper, all_hold = bound_chain(order, profile.zcount, profile.maxann, (count, l2))
+    try:
+        lower, upper, all_hold = bound_chain(order, profile.zcount, profile.maxann, (count, l2))
+        exact = rat_make(count, l2)
+    except InvalidInputError as exc:
+        measured = f"k = {profile.zcount}, m = {profile.maxann}, |Ann| = {count}"
+        raise OracleMismatchError(f"measured {measured} for {spec}: {exc}") from exc
     return BoundsReport(
         ring=str(spec),
         order=order,
         zcount=profile.zcount,
         maxann=profile.maxann,
         lower=Fraction(lower, l2),
-        exact=rat_make(count, l2),
+        exact=exact,
         upper=Fraction(upper, l2),
         refined_cap=refined_cap(order),
         global_cap=GLOBAL_CAP,

@@ -35,17 +35,15 @@ from zeroprod.rings import (
 class ZeroDivisorGraph:
     """An immutable simple graph on Z(R).
 
-    ``vertices`` is canonically ordered; ``edges`` holds (u, v) pairs with
-    u before v in that order, and ``edge_list`` the same pairs in
-    ascending order, the order the exports write them in;
-    ``self_annihilators`` lists the vertices with x*x = 0.
+    ``vertices`` is canonically ordered; ``edges`` holds the (u, v) pairs
+    with u before v in that order, ascending, the order the exports write
+    them in; ``self_annihilators`` lists the vertices with x*x = 0.
     """
 
     spec: RingSpec
     vertices: tuple
-    edges: frozenset
+    edges: tuple
     self_annihilators: frozenset
-    edge_list: tuple
 
 
 def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
@@ -62,16 +60,15 @@ def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
         index_pairs = kernels.graph_edges_zn(mods[0], verts)
     else:
         index_pairs = kernels.graph_edges_mixed(mods, verts)
-    edge_list = tuple((verts[i], verts[j]) for i, j in index_pairs)
+    edges = tuple((verts[i], verts[j]) for i, j in index_pairs)
     self_ann = frozenset(
         x for x in verts if element_mul(spec, x, x) == zero
     )
     return ZeroDivisorGraph(
         spec=spec,
         vertices=tuple(verts),
-        edges=frozenset(edge_list),
+        edges=edges,
         self_annihilators=self_ann,
-        edge_list=edge_list,
     )
 
 
@@ -111,7 +108,7 @@ def export_dot(g: ZeroDivisorGraph) -> str:
             lines.append(f"  {ids[x]} [selfann=true];")
         else:
             lines.append(f"  {ids[x]};")
-    for u, v in g.edge_list:
+    for u, v in g.edges:
         lines.append(f"  {ids[u]} -- {ids[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -123,7 +120,7 @@ def export_edges_csv(g: ZeroDivisorGraph) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v"])
-    for u, v in g.edge_list:
+    for u, v in g.edges:
         writer.writerow([labels[u], labels[v]])
     return buf.getvalue()
 

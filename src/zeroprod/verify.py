@@ -5,14 +5,17 @@ Four named checks run for every n in [2, max_n]:
   triple-oracle       closed form == Pillai divisor sum == measured
                       brute count (pair enumeration additionally
                       cross-checks the measured count for small n)
-  ann-buckets         |Ann(0)| = l, zero-divisors have size >= 2 and
-                      units size 1, k <= l - 2, m <= l/2 when k > 0, and
-                      measured k, m equal those derived from n's factors
-  bounds-chain        lower <= exact <= upper <= 1/2 + 1/l^2 <= 3/4
+  ann-buckets         |Ann(0)| = l, units size 1, k <= l - 2, m <= l/2
+                      when k > 0, and measured k, m equal the derived
+  bounds-chain        lower <= exact <= upper <= 1/2 + 1/l^2 <= 3/4,
+                      evaluated once ann-buckets has passed
   prime-power-profile measured annihilator profile matches the
                       valuation-partition prediction when n = p^k
 
-A failure is reported, never raised: the caller decides the exit code.
+The legs are compared as counts |Ann| = P*l^2 of zero-product pairs, so
+a passing ring builds no ``Fraction``.  A failed check, an impossible
+measured structure included, is reported, never raised: the caller
+decides the exit code.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from zeroprod.arith import rat_make, rat_str
+from zeroprod.arith import rat_str, ratio_str
 from zeroprod.errors import InvalidInputError, ResourceLimitError
 from zeroprod.factor import factorize
-from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_from_factorization
+from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_ratio
 from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, pair_count
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
@@ -85,32 +88,32 @@ class VerifyReport:
         return not self.failures
 
 
+def _rat(count: int, l2: int) -> str:
+    """count / l^2 as reduced "num/den" text, for a failure detail."""
+    return rat_str(Fraction(count, l2))
+
+
 def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFailure]]:
     failures = []
     spec = Zn(n)
-    checks = 0
+    l2 = n * n
 
     f = factorize(n)
-    closed = p_zn_from_factorization(f)
+    num, den = p_zn_ratio(f)
     derived = ann_profile_from_factorization(f)
-    pillai = Fraction(derived.ann_count(), n * n)
     profile = ann_profile(spec, caps)
     count = profile.ann_count()
-    measured = rat_make(count, n * n)
-    legs = {"closed": closed, "pillai": pillai, "measured": measured}
+    counts = {"pillai": derived.ann_count(), "measured": count}
     if n <= min(pairwise_bound, caps.pairwise):
-        legs["pairs"] = Fraction(pair_count(spec, caps), n * n)
-    checks += 1
-    if len(set(legs.values())) > 1:
-        detail = " ".join(f"{name}={rat_str(q)}" for name, q in legs.items())
-        failures.append(CheckFailure("triple-oracle", n, detail))
+        counts["pairs"] = pair_count(spec, caps)
+    if any(c * den != num * l2 for c in counts.values()):
+        legs = [f"closed={ratio_str(num, den)}"]
+        legs += [f"{name}={_rat(c, l2)}" for name, c in counts.items()]
+        failures.append(CheckFailure("triple-oracle", n, " ".join(legs)))
 
     zcount, maxann = profile.zcount, profile.maxann
-    checks += 1
     if profile.zero != {n: 1}:
         detail = f"zero bucket is {profile.zero}"
-    elif any(size < 2 for size in profile.zdiv):
-        detail = f"zdiv sizes {sorted(profile.zdiv)}"
     elif profile.rest != {1: n - 1 - zcount}:
         detail = f"rest bucket is {profile.rest}"
     elif zcount > n - 2:
@@ -123,20 +126,16 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
         detail = None
     if detail is not None:
         failures.append(CheckFailure("ann-buckets", n, detail))
+    else:
+        lower, upper, holds = bound_chain(n, zcount, maxann, (count, l2))
+        if not holds:
+            detail = f"lower={_rat(lower, l2)} exact={_rat(count, l2)} upper={_rat(upper, l2)}"
+            failures.append(CheckFailure("bounds-chain", n, detail))
 
-    lower, upper, holds = bound_chain(n, zcount, maxann, (count, n * n))
-    checks += 1
-    if not holds:
-        lower_q, upper_q = Fraction(lower, n * n), Fraction(upper, n * n)
-        detail = f"lower={rat_str(lower_q)} exact={rat_str(measured)} upper={rat_str(upper_q)}"
-        failures.append(CheckFailure("bounds-chain", n, detail))
-
-    if len(f) == 1:
-        checks += 1
-        if derived != profile:
-            detail = f"predicted {derived} measured {profile}"
-            failures.append(CheckFailure("prime-power-profile", n, detail))
-    return checks, failures
+    if len(f) == 1 and derived != profile:
+        detail = f"predicted {derived} measured {profile}"
+        failures.append(CheckFailure("prime-power-profile", n, detail))
+    return 3 + (len(f) == 1), failures
 
 
 def run_verify(

@@ -234,11 +234,7 @@ class TestVerify:
 
     def test_injected_fault_fails_with_named_check(self, capsys, monkeypatch):
         # sabotage the closed form: verification must notice and exit 4
-        monkeypatch.setattr(
-            zeroprod.verify,
-            "p_zn_from_factorization",
-            lambda f: Fraction(1, 3),
-        )
+        monkeypatch.setattr(zeroprod.verify, "p_zn_ratio", lambda f: (1, 3))
         code, out, _ = run_cli(capsys, "verify", "--max", "10")
         assert code == 4
         assert "FAIL triple-oracle" in out
@@ -258,6 +254,68 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--max", "10")
         assert code == 4
         assert "FAIL ann-buckets n=7: measured k, m = 0, None but derived 1, 2" in out
+
+
+# Histograms of Z_12 that no ring of order 12 has, and the failures that
+# verify reports for each.  The true count is 40 (P = 5/18).
+_CORRUPT_ZN12 = {
+    "empty-rest": (
+        {12: 1, 2: 11},
+        "FAIL triple-oracle n=12: closed=5/18 pillai=5/18 measured=17/72 pairs=5/18",
+        "FAIL ann-buckets n=12: rest bucket is {}",
+    ),
+    "zero-count": (
+        {12: 1, 2: 11, 1: 0},
+        "FAIL triple-oracle n=12: closed=5/18 pillai=5/18 measured=17/72 pairs=5/18",
+        "FAIL ann-buckets n=12: k = 11 > l - 2 = 10",
+    ),
+    "m-above-half": (
+        {12: 1, 8: 1, 1: 10},
+        "FAIL triple-oracle n=12: closed=5/18 pillai=5/18 measured=5/24 pairs=5/18",
+        "FAIL ann-buckets n=12: m = 8 > l/2",
+    ),
+    "negative-count": (
+        {12: 1, 2: 1, 1: -100},
+        "FAIL triple-oracle n=12: closed=5/18 pillai=5/18 measured=-43/72 pairs=5/18",
+        "FAIL ann-buckets n=12: rest bucket is {1: -100}",
+    ),
+}
+
+
+class TestCorruptedMeasurement:
+    """An impossible measured structure is a verification failure (exit 4),
+    reported by verify and raised by bounds, never an input error."""
+
+    @pytest.fixture(params=list(_CORRUPT_ZN12))
+    def corrupt_zn12(self, request, monkeypatch):
+        hist, *fail_lines = _CORRUPT_ZN12[request.param]
+        measure = zeroprod.kernels.ann_size_histogram_mixed
+
+        def histogram(mods):
+            return dict(hist) if mods == (12,) else measure(mods)
+
+        monkeypatch.setattr(zeroprod.kernels, "ann_size_histogram_mixed", histogram)
+        return fail_lines
+
+    def test_verify_reports_every_failure(self, capsys, monkeypatch, corrupt_zn12):
+        chain = zeroprod.verify.bound_chain
+        chained = []
+
+        def recorded_chain(l, *args):
+            chained.append(l)
+            return chain(l, *args)
+
+        monkeypatch.setattr(zeroprod.verify, "bound_chain", recorded_chain)
+        code, out, err = run_cli(capsys, "verify", "--max", "20")
+        assert (code, err) == (4, "")
+        assert out.splitlines() == [*corrupt_zn12, "verify [2, 20]: 19 rings, 69 checks: FAIL"]
+        assert chained == [n for n in range(2, 21) if n != 12]
+
+    def test_bounds_exits_with_a_verification_failure(self, capsys, corrupt_zn12):
+        code, out, err = run_cli(capsys, "bounds", "12")
+        assert (code, out) == (4, "")
+        assert err.startswith("zeroprod: verification failure: measured k = ")
+        assert "for Zn(12)" in err
 
 
 class TestMonteCarlo:

@@ -157,6 +157,15 @@ def test_find_nontrivial_factor_divides():
         assert 1 < d < n and n % d == 0
 
 
+@pytest.mark.parametrize("backend", ["compiled_backend", "pure_backend"])
+def test_find_nontrivial_factor_splits_every_small_composite(request, backend):
+    request.getfixturevalue(backend)
+    for n in range(4, 20001):
+        if not is_prime(n):
+            d = find_nontrivial_factor(n)
+            assert 1 < d < n and n % d == 0, n
+
+
 def test_find_nontrivial_factor_deterministic():
     n = 1000003 * 1000033
     assert find_nontrivial_factor(n) == find_nontrivial_factor(n)

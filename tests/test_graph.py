@@ -30,26 +30,26 @@ class TestBuild:
     def test_zn6(self):
         g = build_graph(Zn(6))
         assert g.vertices == (2, 3, 4)
-        assert g.edges == frozenset({(2, 3), (3, 4)})
+        assert g.edges == ((2, 3), (3, 4))
         assert g.self_annihilators == frozenset()
 
     def test_zn8(self):
         # 2*4 = 0, 4*6 = 0, 4*4 = 0, but 2*6 = 4 != 0
         g = build_graph(Zn(8))
         assert g.vertices == (2, 4, 6)
-        assert g.edges == frozenset({(2, 4), (4, 6)})
+        assert g.edges == ((2, 4), (4, 6))
         assert g.self_annihilators == frozenset({4})
 
     def test_field_gives_empty_graph(self):
         g = build_graph(Zn(5))
         assert g.vertices == ()
-        assert g.edges == frozenset()
+        assert g.edges == ()
         assert g.self_annihilators == frozenset()
 
     def test_product_ring(self):
         g = build_graph(Product((Zn(2), Zn(2))))
         assert g.vertices == ((0, 1), (1, 0))
-        assert g.edges == frozenset({((0, 1), (1, 0))})
+        assert g.edges == (((0, 1), (1, 0)),)
         assert g.self_annihilators == frozenset()
 
     @pytest.mark.parametrize(
@@ -68,11 +68,13 @@ class TestBuild:
         zero = zero_element(spec)
         verts = sorted(zero_divisor_set(spec))
         assert g.vertices == tuple(verts)
-        assert g.edges == frozenset(
-            (u, v)
-            for i, u in enumerate(verts)
-            for v in verts[i + 1 :]
-            if element_mul(spec, u, v) == zero
+        assert g.edges == tuple(
+            sorted(
+                (u, v)
+                for i, u in enumerate(verts)
+                for v in verts[i + 1 :]
+                if element_mul(spec, u, v) == zero
+            )
         )
 
     def test_no_loops_and_endpoints_are_vertices(self):
@@ -213,7 +215,7 @@ def test_edges_equal_an_element_mul_double_loop(text):
         for v in verts[i + 1 :]
         if element_mul(spec, u, v) == zero
     ]
-    assert g.edges == frozenset(oracle)
+    assert g.edges == tuple(sorted(oracle))
     # both exports write the edges in sorted order
     rows = [[element_str(u), element_str(v)] for u, v in sorted(oracle)]
     dot = export_dot(g).splitlines()

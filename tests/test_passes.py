@@ -8,7 +8,7 @@ from concurrent.futures import Future
 import pytest
 
 import zeroprod.cli  # noqa: F401  (loads every module whose bindings are counted)
-from zeroprod import factor, kernels, rings, verify
+from zeroprod import arith, factor, kernels, rings, verify
 from zeroprod.errors import ResourceLimitError
 from zeroprod.formulas import ann_profile_from_factorization, bounds_report
 from zeroprod.graph import build_graph, export_dot, export_edges_csv, export_vertices_csv
@@ -19,15 +19,8 @@ from zeroprod.verify import ordered_map, run_verify
 HISTOGRAMS = ("ann_size_histogram_zn", "ann_size_histogram_mixed")
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count calls through every zeroprod binding of the counted functions."""
-    originals = [getattr(kernels, name) for name in HISTOGRAMS] + [
-        factor.factorize,
-        factor.is_prime,
-        rings.ann_profile,
-        rings.validate_element,
-    ]
+def _count_calls(monkeypatch, originals) -> dict[str, int]:
+    """Count calls through every zeroprod binding of each original, by name."""
     counts = {fn.__name__: 0 for fn in originals}
     for original in originals:
 
@@ -42,6 +35,18 @@ def calls(monkeypatch):
                 if obj is original:
                     monkeypatch.setattr(module, attr, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls through every zeroprod binding of the counted functions."""
+    originals = [getattr(kernels, name) for name in HISTOGRAMS] + [
+        factor.factorize,
+        factor.is_prime,
+        rings.ann_profile,
+        rings.validate_element,
+    ]
+    return _count_calls(monkeypatch, originals)
 
 
 def _histograms(counts):
@@ -171,3 +176,20 @@ def test_ordered_map_keeps_order_across_processes(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
     items = range(-40, 40)
     assert list(ordered_map(abs, items, jobs=2, chunksize=3)) == list(map(abs, items))
+
+
+def test_passing_verify_builds_no_fraction(monkeypatch):
+    """The oracle legs are compared as integer counts."""
+    counts = _count_calls(monkeypatch, [verify.Fraction, arith.rat_make])
+    assert run_verify(300).passed
+    assert counts == {"Fraction": 0, "rat_make": 0}
+
+
+def test_factorize_sieves_the_trial_primes_once(monkeypatch):
+    """A cofactor that outlasts trial division is not trial-divided again."""
+    sieve = factor._trial_primes
+    calls = []
+    monkeypatch.setattr(factor, "_trial_primes", lambda: calls.append(1) or sieve())
+    n = 1048573 * 1048571 * 1048559
+    assert factor.factorize(n) == [(1048559, 1), (1048571, 1), (1048573, 1)]
+    assert len(calls) == 1
