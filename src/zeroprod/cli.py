@@ -204,8 +204,7 @@ _SCAN_HEADER = _SCAN_LINE.format(
 )
 
 
-def _write_scan_csv(record: dict, first: bool) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+def _write_scan_csv(writer, record: dict, first: bool) -> None:
     if first:
         writer.writerow(record.keys())
     writer.writerow(_csv_cell(v) for v in record.values())
@@ -230,7 +229,7 @@ def _cmd_scan(args, parser) -> int:
     records = []
     write = {
         "json": lambda record, first: records.append(record),
-        "csv": _write_scan_csv,
+        "csv": functools.partial(_write_scan_csv, csv.writer(sys.stdout, lineterminator="\n")),
         "table": _write_scan_table,
     }[args.format]
     all_hold, min_row, max_row = True, None, None

@@ -29,6 +29,7 @@ from zeroprod.rings import (
     Caps,
     DEFAULT_CAPS,
     RingSpec,
+    Zn,
     ann_profile,
     ring_order,
 )
@@ -71,11 +72,7 @@ def p_zn_from_factorization(f: Factorization) -> Fraction:
 
 def p_zn(n: int) -> Fraction:
     """Exact P(Z_n) via factorization; n must be >= 2."""
-    if as_natural(n, "n") < 2:
-        raise ExcludedRingError(
-            f"Zn({n}) is excluded: the zero ring and rings without an "
-            "identity distinct from 0 are exempt"
-        )
+    Zn(n)  # rejects an excluded modulus
     return p_zn_from_factorization(factorize(n))
 
 

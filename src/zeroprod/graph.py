@@ -55,11 +55,7 @@ def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     _require_pairwise(spec, caps)
     verts = sorted(zero_divisor_set(spec, caps))
     zero = zero_element(spec)
-    mods = spec.moduli
-    if len(mods) == 1:
-        index_pairs = kernels.graph_edges_zn(mods[0], verts)
-    else:
-        index_pairs = kernels.graph_edges_mixed(mods, verts)
+    index_pairs = kernels.graph_edges(spec.moduli, verts)
     edges = tuple((verts[i], verts[j]) for i, j in index_pairs)
     self_ann = frozenset(
         x for x in verts if element_mul(spec, x, x) == zero

@@ -33,8 +33,13 @@ loads it.  ``ZEROPROD_BACKEND=python`` selects
 the pure forms; :func:`backend` names the active backend and, when it is
 pure, why.
 
-Callers go through the module attribute (``kernels.ann_pair_count_zn``),
-not ``from ... import`` copies.
+Callers reach a ring's kernels through three entries that take its
+tuple of moduli: :func:`pair_count` and :func:`graph_edges` pick the
+multiples-table kernel for one modulus and the zero-lane kernel for
+more, and :func:`ann_size_histogram_mixed` takes Z_n as a one-modulus
+product.  Callers use the module attribute (``kernels.pair_count``), and
+the entries look their kernels up as module globals at call time, so a
+kernel rebound on this module is the one that runs.
 """
 
 from __future__ import annotations
@@ -313,6 +318,22 @@ def graph_edges_mixed(
             edges.append((i, vertex_at[low.bit_length() - 1]))
             hits ^= low
     return edges
+
+
+def pair_count(mods: tuple[int, ...]) -> int:
+    """Ordered zero-product pairs of Z_{m1} x ... x Z_{mr}, enumerated."""
+    if len(mods) == 1:
+        return ann_pair_count_zn(mods[0])
+    return ann_pair_count_mixed(mods)
+
+
+def graph_edges(mods: tuple[int, ...], verts: list) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in
+    Z_{m1} x ... x Z_{mr}, ascending; verts are nonzero, strictly
+    ascending elements: ints for one modulus, digit tuples for more."""
+    if len(mods) == 1:
+        return graph_edges_zn(mods[0], verts)
+    return graph_edges_mixed(mods, verts)
 
 
 def _splitmix64_blocks(seed: int, width: int, n: int):

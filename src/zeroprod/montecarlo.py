@@ -20,8 +20,9 @@ from fractions import Fraction
 
 from zeroprod import kernels
 from zeroprod.arith import as_natural, rat_make
-from zeroprod.errors import ExcludedRingError, InvalidInputError
+from zeroprod.errors import InvalidInputError
 from zeroprod.formulas import p_zn
+from zeroprod.rings import Zn
 
 DEFAULT_SEED = 12345
 
@@ -45,11 +46,7 @@ def estimate_zero_pairs(
     n: int, samples: int, seed: int = DEFAULT_SEED
 ) -> MonteCarloResult:
     """Run the sampling experiment and compare against the exact value."""
-    if as_natural(n, "n") < 2:
-        raise ExcludedRingError(
-            f"Zn({n}) is excluded: the zero ring and rings without an "
-            "identity distinct from 0 are exempt"
-        )
+    Zn(n)  # rejects an excluded modulus
     if n >= _SAMPLER_LIMIT:
         raise InvalidInputError("the 64-bit sampler supports n < 2**64 only")
     if not 1 <= as_natural(samples, "samples") < _SAMPLER_LIMIT:

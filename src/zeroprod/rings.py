@@ -1,13 +1,15 @@
 """Finite commutative ring models and the measured (brute-force) oracles.
 
-Two models are supported: Z_n for n >= 2, and finite direct products
-Z_{m1} x ... x Z_{mr} with componentwise operations.  A ring is its
-tuple of moduli, ``spec.moduli``: ``Zn(n)`` is the one-modulus case, and
-a :class:`Product` flattens nested factors when it is built.  Elements
-of Z_n are plain ints; elements of a product are flat tuples of digits,
-one residue per modulus.  Every enumeration-based operation takes a
-:class:`Caps` budget and refuses rings above it, so CLI behavior stays
-predictable no matter what modulus a user types.
+One ring type, :class:`RingSpec`, models Z_n for n >= 2 and the finite
+direct products Z_{m1} x ... x Z_{mr} with componentwise operations: a
+ring is its tuple of moduli, ``spec.moduli``.  :func:`Zn` builds the
+one-modulus case, :func:`Product` flattens nested factors, and
+:func:`parse_ring` reads the CLI grammar.  This module alone knows the
+format of an element: a plain int for Z_n, a flat tuple of digits, one
+residue per modulus, for a product.  Which kernel serves which ring
+shape is :mod:`zeroprod.kernels`' choice.  Every enumeration-based
+operation takes a :class:`Caps` budget and refuses rings above it, so
+CLI behavior stays predictable no matter what modulus a user types.
 
 The measured quantities here (annihilator sizes, zero-divisor counts,
 ordered zero-product pair counts) are what the closed-form layer in
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import prod
@@ -50,7 +51,20 @@ DEFAULT_CAPS = Caps()
 
 
 @dataclass(frozen=True)
-class Zn:
+class RingSpec:
+    """The ring Z_{m1} x ... x Z_{mr}, given by its moduli in order.
+
+    Z_n is the one-modulus case.  Build a ring with :func:`Zn`,
+    :func:`Product` or :func:`parse_ring`, which validate the moduli.
+    """
+
+    moduli: tuple[int, ...]
+
+    def __str__(self) -> str:
+        return "x".join(f"Zn({m})" for m in self.moduli)
+
+
+def Zn(n: int) -> RingSpec:
     """The ring of integers modulo n; requires n >= 2.
 
     Modulus 1 would be the zero ring (its identity equals 0) and is
@@ -58,57 +72,30 @@ class Zn:
     zero-product probability 1 and are exempt from the bounds this
     package computes.
     """
-
-    n: int
-
-    def __post_init__(self):
-        as_natural(self.n, "modulus")
-        if self.n < 2:
-            raise ExcludedRingError(
-                f"Zn({self.n}) is excluded: the zero ring and rings without "
-                "an identity distinct from 0 are exempt (modulus must be >= 2)"
-            )
-
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        return (self.n,)
-
-    def __str__(self) -> str:
-        return f"Zn({self.n})"
+    if as_natural(n, "modulus") < 2:
+        raise ExcludedRingError(
+            f"Zn({n}) is excluded: the zero ring and rings without "
+            "an identity distinct from 0 are exempt (modulus must be >= 2)"
+        )
+    return RingSpec((n,))
 
 
-@dataclass(frozen=True)
-class Product:
-    """A direct product Z_{m1} x ... x Z_{mr}, componentwise arithmetic.
+def Product(factors: tuple[RingSpec, ...]) -> RingSpec:
+    """The direct product of at least two rings, componentwise arithmetic.
 
-    Nested products flatten when built: ``Product((Zn(4), Product((Zn(2),
-    Zn(3)))))`` equals ``Product((Zn(4), Zn(2), Zn(3)))``.  ``factors``
-    holds the Zn rings in left-to-right order and ``moduli`` their
-    moduli; an element is a flat tuple of one digit per modulus.
+    Nested products flatten: ``Product((Zn(4), Product((Zn(2), Zn(3)))))``
+    equals ``Product((Zn(4), Zn(2), Zn(3)))``, with moduli (4, 2, 3).
     """
+    given = tuple(factors)
+    if len(given) < 2:
+        raise InvalidInputError("a product ring needs at least two factors")
+    moduli = ()
+    for f in given:
+        if not isinstance(f, RingSpec):
+            raise InvalidInputError(f"not a ring spec: {f!r}")
+        moduli += f.moduli
+    return RingSpec(moduli)
 
-    factors: tuple["RingSpec", ...]
-
-    def __post_init__(self):
-        given = tuple(self.factors)
-        if len(given) < 2:
-            raise InvalidInputError("a product ring needs at least two factors")
-        factors = []
-        for f in given:
-            if not isinstance(f, (Zn, Product)):
-                raise InvalidInputError(f"not a ring spec: {f!r}")
-            factors += f.factors if isinstance(f, Product) else (f,)
-        object.__setattr__(self, "factors", tuple(factors))
-
-    @cached_property
-    def moduli(self) -> tuple[int, ...]:
-        return tuple(f.n for f in self.factors)
-
-    def __str__(self) -> str:
-        return "x".join(str(f) for f in self.factors)
-
-
-RingSpec = Zn | Product
 
 _ZN_TOKEN = re.compile(r"Zn\((\d+)\)\Z")
 
@@ -122,18 +109,15 @@ def parse_ring(text: str) -> RingSpec:
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise RingParseError("empty ring expression")
-    parts = compact.split("x")
-    specs = []
-    for part in parts:
+    moduli = ()
+    for part in compact.split("x"):
         m = _ZN_TOKEN.match(part)
         if m is None:
             raise RingParseError(
                 f"cannot parse ring component {part!r}; expected Zn(<n>)"
             )
-        specs.append(Zn(int(m.group(1))))
-    if len(specs) == 1:
-        return specs[0]
-    return Product(tuple(specs))
+        moduli += Zn(int(m.group(1))).moduli
+    return RingSpec(moduli)
 
 
 def ring_order(spec: RingSpec) -> int:
@@ -195,17 +179,6 @@ def _require_pairwise(spec: RingSpec, caps: Caps) -> int:
     return order
 
 
-def ann_size_zn(n: int, x: int) -> int:
-    """|Ann(x)| in Z_n without enumeration: gcd(x, n), with gcd(0, n) = n.
-
-    The annihilator of x is generated by n/gcd(x, n), hence has exactly
-    gcd(x, n) elements; this is the fast path the pairwise oracle checks.
-    """
-    if as_natural(n, "n") < 2:
-        raise InvalidInputError("n must be >= 2")
-    return ann_size(Zn(n), x)
-
-
 def _ann_size(spec: RingSpec, x) -> int:
     """|Ann(x)| for an element known to be valid."""
     mods = spec.moduli
@@ -233,10 +206,6 @@ def zero_divisor_set(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> set:
     """All nonzero x that kill some nonzero y (the vertex set Z(R)): the
     nonzero x with |Ann(x)| >= 2."""
     _require_single(spec, caps)
-    mods = spec.moduli
-    if len(mods) == 1:
-        n = mods[0]
-        return {x for x in range(1, n) if _int_gcd(x, n) >= 2}
     out = {x for x in elements(spec) if _ann_size(spec, x) >= 2}
     out.discard(zero_element(spec))
     return out
@@ -324,10 +293,7 @@ def gcd_sum(n: int) -> int:
 def pair_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:
     """Ordered pairs (x, y) with x*y = 0, by O(|R|^2) pair enumeration."""
     _require_pairwise(spec, caps)
-    mods = spec.moduli
-    if len(mods) == 1:
-        return kernels.ann_pair_count_zn(mods[0])
-    return kernels.ann_pair_count_mixed(mods)
+    return kernels.pair_count(spec.moduli)
 
 
 def ann_count_total(

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from zeroprod.errors import InvalidInputError
-from zeroprod.factor import Factorization, factorization_str, factorize
+from zeroprod.factor import _PRIME_LIMIT, Factorization, factorization_str, factorize
 from zeroprod.formulas import bound_chain, p_zn_ratio
-
-_FACTOR_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,6 @@ def scan_rows(lo: int, hi: int):
     """
     if lo < 2 or lo > hi:
         raise InvalidInputError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
-    if hi >= _FACTOR_LIMIT:
+    if hi >= _PRIME_LIMIT:
         raise InvalidInputError(f"scan needs hi < 2**64, got hi={hi}")
     yield from map(scan_row, range(lo, hi + 1))

@@ -28,10 +28,10 @@ from fractions import Fraction
 from functools import partial
 
 from zeroprod.arith import rat_str, ratio_str
-from zeroprod.errors import InvalidInputError, ResourceLimitError
+from zeroprod.errors import InvalidInputError
 from zeroprod.factor import factorize
 from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_ratio
-from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, ann_profile, pair_count
+from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, _require_single, ann_profile, pair_count
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
 # up to this bound by default; the other legs cover the whole range.
@@ -147,10 +147,7 @@ def run_verify(
     """Run every check for 2 <= n <= max_n and collect failures."""
     if max_n < 2:
         raise InvalidInputError("max_n must be >= 2")
-    if max_n > caps.single:
-        raise ResourceLimitError(
-            f"ring order {max_n} exceeds the enumeration cap {caps.single}"
-        )
+    _require_single(Zn(max_n), caps)
     report = VerifyReport(max_n=max_n)
     check = partial(_check_n, caps=caps, pairwise_bound=pairwise_bound)
     for checks, failures in ordered_map(check, range(2, max_n + 1), jobs, chunksize=32):

@@ -16,12 +16,12 @@ from zeroprod.rings import (
     AnnProfile,
     Caps,
     Product,
+    RingSpec,
     Zn,
     ann_count_total,
     ann_profile,
     ann_set,
     ann_size,
-    ann_size_zn,
     elements,
     element_str,
     gcd_sum,
@@ -75,7 +75,7 @@ class TestNestedEqualsFlat:
     def test_same_spec(self):
         assert self.nested == self.flat
         assert hash(self.nested) == hash(self.flat)
-        assert self.nested.factors == (Zn(4), Zn(2), Zn(3))
+        assert self.nested == RingSpec((4, 2, 3))
         assert self.nested.moduli == self.flat.moduli == (4, 2, 3)
         assert str(self.nested) == str(self.flat) == "Zn(4)xZn(2)xZn(3)"
 
@@ -118,6 +118,9 @@ class TestParse:
             parse_ring("Zn(1)")
         with pytest.raises(ExcludedRingError):
             parse_ring("Zn(1)xZn(3)")
+        # components are read left to right: the excluded one is reported
+        with pytest.raises(ExcludedRingError):
+            parse_ring("Zn(1)xfoo")
 
 
 class TestElements:
@@ -193,16 +196,16 @@ class TestElementRule:
 class TestAnnSize:
     def test_examples(self):
         # {0, 3, 6, 9} annihilate 8 mod 12
-        assert ann_size_zn(12, 8) == 4
-        assert ann_size_zn(12, 0) == 12
+        assert ann_size(Zn(12), 8) == 4
+        assert ann_size(Zn(12), 0) == 12
         for p in (2, 3, 7, 97):
             for x in (1, p - 1):
-                assert ann_size_zn(p, x) == 1
+                assert ann_size(Zn(p), x) == 1
 
     def test_matches_enumeration_for_all_small_rings(self):
         for n in range(2, 201):
             for x in range(n):
-                assert len(ann_set(Zn(n), x)) == ann_size_zn(n, x)
+                assert len(ann_set(Zn(n), x)) == ann_size(Zn(n), x)
 
     def test_product_sizes_match_enumeration(self):
         spec = Product((Zn(4), Zn(6)))
@@ -211,9 +214,7 @@ class TestAnnSize:
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
-            ann_size_zn(1, 0)
-        with pytest.raises(InvalidInputError):
-            ann_size_zn(6, 6)
+            ann_size(Zn(6), 6)
 
 
 class TestZeroDivisors:
