@@ -1,4 +1,4 @@
-/* Compiled forms of two kernels of zeroprod.kernels, as the extension
+/* Compiled forms of three kernels of zeroprod.kernels, as the extension
  * module zeroprod._native.
  *
  * Each function runs the exact procedure of its pure counterpart, so
@@ -6,11 +6,13 @@
  *   mc_zero_pairs(n, samples, seed) -- kernels._mc_zero_pairs_py
  *       (splitmix64, rejection, x before y, hit iff n | x*y);
  *   brent_rho(n, c, x0) -- kernels._brent_rho_py (polynomial y^2 + c,
- *       gcd batches of 128, the same backtrack), 0 when it degenerates.
- * Arguments must fit 64 bits (OverflowError otherwise) and n >= 1;
- * kernels.py checks both before it calls.  Products are formed in 128
- * bits, so no step wraps.  kernels.py builds this file with
- * gcc -O2 -shared -fPIC -I<Python include directory>.
+ *       gcd batches of 128, the same backtrack), 0 when it degenerates;
+ *   is_prime(n) -- kernels._is_prime_py (Miller-Rabin with the witnesses
+ *       2, 3, ..., 37 and the same early exits), exact for every n.
+ * Arguments must fit 64 bits (OverflowError otherwise), and n >= 1 for
+ * the first two; kernels.py checks both before it calls.  Products are
+ * formed in 128 bits, so no step wraps.  kernels.py builds this file
+ * with gcc -O2 -shared -fPIC -I<Python include directory>.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -97,6 +99,55 @@ static uint64_t rho(uint64_t n, uint64_t c, uint64_t x0)
     return g == n ? 0 : g;
 }
 
+static uint64_t mulmod(uint64_t a, uint64_t b, uint64_t n)
+{
+    return (uint64_t)((u128)a * b % n);
+}
+
+static uint64_t powmod(uint64_t a, uint64_t e, uint64_t n)
+{
+    uint64_t r = 1;
+    for (; e; e >>= 1) {
+        if (e & 1)
+            r = mulmod(r, a, n);
+        a = mulmod(a, a, n);
+    }
+    return r;
+}
+
+static const uint64_t witnesses[] = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+
+/* These witnesses decide every n < 2**64 exactly. */
+static int miller_rabin(uint64_t n)
+{
+    if (n < 2)
+        return 0;
+    for (int i = 0; i < 12; i++) {
+        if (n == witnesses[i])
+            return 1;
+        if (n % witnesses[i] == 0)
+            return 0;
+    }
+    uint64_t d = n - 1;
+    int r = 0;
+    for (; d % 2 == 0; d /= 2)
+        r++;
+    for (int i = 0; i < 12; i++) {
+        uint64_t x = powmod(witnesses[i], d, n);
+        if (x == 1 || x == n - 1)
+            continue;
+        int j = 1;
+        for (; j < r; j++) {
+            x = mulmod(x, x, n);
+            if (x == n - 1)
+                break;
+        }
+        if (j == r)
+            return 0;
+    }
+    return 1;
+}
+
 static int unpack(PyObject *const *args, Py_ssize_t nargs, uint64_t v[3])
 {
     if (nargs != 3) {
@@ -146,9 +197,18 @@ static PyObject *brent_rho(PyObject *self, PyObject *const *args, Py_ssize_t nar
     return PyLong_FromUnsignedLongLong(g);
 }
 
+static PyObject *is_prime(PyObject *self, PyObject *arg)
+{
+    uint64_t n = PyLong_AsUnsignedLongLong(arg);
+    if (n == (uint64_t)-1 && PyErr_Occurred())
+        return NULL;
+    return PyBool_FromLong(miller_rabin(n));
+}
+
 static PyMethodDef methods[] = {
     {"mc_zero_pairs", (PyCFunction)(void (*)(void))mc_zero_pairs, METH_FASTCALL, NULL},
     {"brent_rho", (PyCFunction)(void (*)(void))brent_rho, METH_FASTCALL, NULL},
+    {"is_prime", is_prime, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 

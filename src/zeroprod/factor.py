@@ -6,8 +6,11 @@ for every n < 2**64; larger inputs are rejected rather than answered
 probabilistically.  Factorization strips small primes by trial division
 and splits the remainder with Brent's cycle-finding variant of Pollard
 rho, driven by a fixed parameter schedule so repeated runs are identical.
-The rho attempt itself is a kernel: ``kernels.brent_rho`` dispatches it
-to the compiled or the pure form, which return the same divisor.
+From 10**8 on, one gcd with the product of the trial primes first tells
+whether any of them divides n, and trial division runs only if one does.
+The Miller-Rabin test and the rho attempt are kernels:
+``kernels.is_prime`` and ``kernels.brent_rho`` dispatch each to its
+compiled or pure form, which return the same values.
 """
 
 from __future__ import annotations
@@ -18,28 +21,29 @@ from zeroprod import kernels
 from zeroprod.arith import as_natural
 from zeroprod.errors import ContractViolationError, InvalidInputError
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PRIME_LIMIT = 1 << 64
 
 _TRIAL_BOUND = 10_000
-_small_primes: list[int] | None = None
+_trial_cache: tuple[list[int], int] | None = None
 
 # A prime factorization as an ordered list of (prime, exponent) pairs;
 # the empty list represents 1.
 Factorization = list[tuple[int, int]]
 
 
-def _trial_primes() -> list[int]:
-    """Primes below the trial-division bound, sieved once and cached."""
-    global _small_primes
-    if _small_primes is None:
+def _trial_primes() -> tuple[list[int], int]:
+    """The primes below the trial-division bound and their product,
+    sieved once and cached."""
+    global _trial_cache
+    if _trial_cache is None:
         sieve = bytearray([1]) * _TRIAL_BOUND
         sieve[0:2] = b"\x00\x00"
         for p in range(2, math.isqrt(_TRIAL_BOUND - 1) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _small_primes = [i for i, flag in enumerate(sieve) if flag]
-    return _small_primes
+        primes = [i for i, flag in enumerate(sieve) if flag]
+        _trial_cache = primes, math.prod(primes)
+    return _trial_cache
 
 
 def is_prime(n: int) -> bool:
@@ -49,29 +53,7 @@ def is_prime(n: int) -> bool:
         raise InvalidInputError(
             f"is_prime supports n < 2**64 only, got a {n.bit_length()}-bit value"
         )
-    if n < 2:
-        return False
-    for w in _MR_WITNESSES:
-        if n == w:
-            return True
-        if n % w == 0:
-            return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for w in _MR_WITNESSES:
-        x = pow(w, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return kernels.is_prime(n)
 
 
 def find_nontrivial_factor(n: int) -> int:
@@ -103,14 +85,20 @@ def factorize(n: int) -> Factorization:
 
     Trial division stops at the first prime p with p^2 > n: what is left
     then has no prime factor below p, so it is 1 or a prime, and no
-    primality test runs.  Only a cofactor that outlasts the trial primes
-    is tested and split; it must fit the 64-bit primality test, and
-    anything larger is rejected rather than factored heuristically.
+    primality test runs.  From _TRIAL_BOUND**2 on the loop would run
+    through every trial prime, so it is skipped when one gcd with their
+    product shows that none divides n.  Only a cofactor that outlasts
+    the trial primes is tested and split; it must fit the 64-bit
+    primality test, and anything larger is rejected rather than factored
+    heuristically.
     """
     if as_natural(n, "n") == 0:
         raise InvalidInputError("0 has no prime factorization")
     factors: Factorization = []
-    for p in _trial_primes():
+    primes, primorial = _trial_primes()
+    if n >= _TRIAL_BOUND**2 and math.gcd(primorial % n, n) == 1:
+        primes = []
+    for p in primes:
         if p * p > n:
             break
         if n % p == 0:

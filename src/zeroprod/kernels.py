@@ -15,23 +15,24 @@ zero-product sets are found by enumeration and lifted to bitsets over
 the ring's elements, and an element's zero-product row is the AND of
 its components' bitsets.  Monte Carlo computes, rejects and reduces
 its splitmix64 draws a block at a time and tests each sampled pair's
-product.  Brent's rho (:func:`brent_rho`) splits the composites that
-:mod:`zeroprod.factor` cannot split by trial division.
+product.  Miller-Rabin (:func:`is_prime`) and Brent's rho
+(:func:`brent_rho`) test and split the cofactors that
+:mod:`zeroprod.factor` cannot settle by trial division.
 
-Two kernels have a compiled form, in ``_native.c``: Monte Carlo and
-Brent's rho, the two whose every step is a few big-integer operations.
-This module is their only dispatch point.  A call runs the compiled form
-when its arguments fit 64 bits (n, samples and seed for Monte Carlo; n,
-c and x0 for rho) and the library exists; otherwise it runs the pure
-form, which takes arbitrary-precision integers and returns the same
-values.  The extension module is built once per machine and Python, by
-the first import that finds it missing, into
+Three kernels have a compiled form, in ``_native.c``: Monte Carlo,
+Brent's rho and Miller-Rabin, whose every step is a few big-integer
+operations.  This module is their only dispatch point.  A call runs the
+compiled form when its arguments fit 64 bits (n, samples and seed for
+Monte Carlo; n, c and x0 for rho; n for Miller-Rabin) and the library
+exists; otherwise it runs the pure form, which takes
+arbitrary-precision integers and returns the same values.  The
+extension module is built once per machine and Python, by the first
+import that finds it missing, into
 ``__pycache__/_native-<crc32 of the source><extension suffix>`` through
 an atomic rename; a request never starts a compiler.  It is loaded at
-the first compiled call, so a process that runs neither kernel never
-loads it.  ``ZEROPROD_BACKEND=python`` selects
-the pure forms; :func:`backend` names the active backend and, when it is
-pure, why.
+the first compiled call, so a process that runs none of these kernels
+never loads it.  ``ZEROPROD_BACKEND=python`` selects the pure forms;
+:func:`backend` names the active backend and, when it is pure, why.
 
 Callers reach a ring's kernels through three entries that take its
 tuple of moduli: :func:`pair_count` and :func:`graph_edges` pick the
@@ -63,6 +64,7 @@ _SM64_MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024  # splitmix64 outputs computed side by side
 _TABLE_BYTES = 1 << 20  # cap on the size of the multiples table of Z_n
 _NATIVE_LIMIT = 1 << 64  # every argument of a compiled kernel is below this
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -447,3 +449,40 @@ def _brent_rho_py(n: int, c: int, x0: int) -> int | None:
     if g == n:
         return None
     return g
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin on a natural n with the witnesses 2, 3, ..., 37, which
+    decide every n < 2**64 exactly.  The compiled form runs when n is
+    below 2**64.
+    """
+    if 0 <= n < _NATIVE_LIMIT and (native := _compiled()) is not None:
+        return native.is_prime(n)
+    return _is_prime_py(n)
+
+
+def _is_prime_py(n: int) -> bool:
+    """Pure :func:`is_prime`."""
+    if n < 2:
+        return False
+    for w in _MR_WITNESSES:
+        if n == w:
+            return True
+        if n % w == 0:
+            return False
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for w in _MR_WITNESSES:
+        x = pow(w, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

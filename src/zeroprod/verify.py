@@ -45,14 +45,16 @@ def _map_chunk(fn, chunk: list) -> list:
 def ordered_map(fn, items, jobs: int, chunksize: int):
     """Yield fn(item) for every item, in input order.
 
-    ``items`` is a range.  Its chunks of ``chunksize`` go to a pool of
-    min(jobs, chunks, CPUs) processes with at most two chunks per process
-    in flight, so memory stays bounded; with one process there is no pool.
+    ``items`` is a range of step 1, of any length: its chunks are counted
+    without ``len``, which overflows beyond 2**63 items.  The chunks of
+    ``chunksize`` go to a pool of min(jobs, chunks, CPUs) processes with at
+    most two chunks per process in flight, so memory stays bounded; with
+    one process there is no pool.
     ``fn`` must be picklable.  The pool module is imported here, not at
     the top: it is a sixth of the CLI's import time, and only a
     multi-process verify uses it.
     """
-    workers = min(jobs, -(-len(items) // chunksize), os.cpu_count() or 1)
+    workers = min(jobs, -((items.start - items.stop) // chunksize), os.cpu_count() or 1)
     if workers <= 1:
         yield from map(fn, items)
         return

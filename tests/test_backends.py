@@ -99,18 +99,68 @@ def test_rho_backends_agree_on_any_start(native_kernels, n, c, x0):
     _rho_both(native_kernels, n, c, x0)
 
 
+def _mr_both(lib, n):
+    got = lib.is_prime(n)
+    assert got is kernels._is_prime_py(n), n
+    return got
+
+
+def test_mr_backends_agree_below_ten_to_the_five(native_kernels):
+    assert sum(_mr_both(native_kernels, n) for n in range(10**5)) == 9592
+
+
+# Strong pseudoprimes to the first few prime bases (the least for bases
+# 2; 2, 3; ...; 2, ..., 23) and Carmichael numbers: composites that only
+# the later witnesses expose.
+_STRONG_PSEUDOPRIMES = [
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    3825123056546413051,
+]
+_CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801]
+
+
+@pytest.mark.parametrize("n", _STRONG_PSEUDOPRIMES + _CARMICHAEL)
+def test_mr_backends_reject_pseudoprimes(native_kernels, n):
+    assert _mr_both(native_kernels, n) is False
+
+
+def test_mr_backends_agree_at_the_top_of_64_bits(native_kernels):
+    assert _mr_both(native_kernels, 2**61 - 1) is True
+    assert _mr_both(native_kernels, 2**64 - 59) is True
+    assert _mr_both(native_kernels, 2**64 - 1) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2**32, 2**63, 2**64]).flatmap(
+        lambda gate: st.integers(gate - 2**16, min(gate + 2**16, _MASK))
+    )
+)
+def test_mr_backends_agree_near_the_gates(native_kernels, n):
+    _mr_both(native_kernels, n | 1)
+
+
 def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypatch):
     calls = []
-    for name in ("_mc_zero_pairs_py", "_brent_rho_py"):
+    for name in ("_mc_zero_pairs_py", "_brent_rho_py", "_is_prime_py"):
         monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
     kernels.mc_zero_pairs_zn(1 << 64, 1, 0)
     kernels.mc_zero_pairs_zn(5, 1 << 64, 0)
     kernels.mc_zero_pairs_zn(5, 1, 1 << 64)
     kernels.brent_rho(1 << 64, 1)
     kernels.brent_rho(15, 1 << 64)
+    kernels.is_prime(1 << 64)
+    kernels.is_prime(-1)
     kernels.mc_zero_pairs_zn(2**64 - 1, 10, _MASK)
     kernels.brent_rho(2**64 - 1, 1)
-    assert calls == ["_mc_zero_pairs_py"] * 3 + ["_brent_rho_py"] * 2
+    assert kernels.is_prime(2**64 - 59) and not kernels.is_prime(0)
+    assert calls == ["_mc_zero_pairs_py"] * 3 + ["_brent_rho_py"] * 2 + ["_is_prime_py"] * 2
 
 
 def test_compiled_kernels_reject_what_does_not_fit(native_kernels):
@@ -122,6 +172,11 @@ def test_compiled_kernels_reject_what_does_not_fit(native_kernels):
             kernel(0, 1, 1)
         with pytest.raises(TypeError):
             kernel(5, 1)
+    for n in (1 << 64, -1):
+        with pytest.raises(OverflowError):
+            native_kernels.is_prime(n)
+    with pytest.raises(TypeError):
+        native_kernels.is_prime(5.0)
 
 
 _LONG_RUN = """
@@ -184,7 +239,8 @@ def _run_requests(requests, **env_changes):
 
 def _benchmark_requests():
     """One request of each prob-closed-form kind and the enum-kernels
-    montecarlo request, drawn as the benchmark draws them."""
+    montecarlo request, drawn as the benchmark draws them, and prob of a
+    prime, a strong pseudoprime and a Carmichael number."""
     rng = random.Random(801)
     semi = _random_prime(rng, 32) * _random_prime(rng, 32)
     prime = _random_prime(rng, 63)
@@ -196,6 +252,9 @@ def _benchmark_requests():
         ["prob", str(prime), "--format", "json"],
         ["prob", str(tri)],
         ["prob", "--ring", ring],
+        ["prob", str(2**64 - 59)],
+        ["prob", "3825123056546413051"],
+        ["prob", "41041"],
         [*mc, "--seed", str(rng.getrandbits(32))],
         ["montecarlo", str(2**64 - 1), "--samples", "1000", "--seed", str(_MASK)],
         ["montecarlo", str(2**40), "--samples", "1000", "--seed", "0", "--format", "csv"],

@@ -1,9 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zeroprod import kernels
 from zeroprod.errors import ContractViolationError, InvalidInputError
 from zeroprod.factor import (
     factorization_str,
@@ -105,12 +106,50 @@ def _trial_division(n):
 
 # 9973 is the last trial prime and 10007 the first prime after it, so
 # these cofactors sit on either side of where trial division hands over
-# to the primality test and rho.
+# to the primality test and rho.  From 10**8 = 10**4 squared on,
+# factorize skips trial division when n is coprime to every trial prime;
+# 10**8 +- 1 and the first primes above 10**8 sit on either side of that.
 @pytest.mark.parametrize(
-    "n", [9973**2, 10007**2, 9973 * 10007, 9973**3, 10007**3, 9973**2 * 10007]
+    "n",
+    [9973**2, 10007**2, 9973 * 10007, 9973**3, 10007**3, 9973**2 * 10007]
+    + [10**8 - 1, 10**8, 10**8 + 1, 10007 * 10009]
+    + [100000007, 100000037, 100000039, 100000049],
 )
 def test_factorize_around_the_trial_bound(n):
     assert factorize(n) == _trial_division(n)
+
+
+def _reference_factorize(n):
+    """Trial division by every d below 10**4, whatever n is, then the
+    cofactor split by rho and tested by the pure Miller-Rabin."""
+    out, d = [], 2
+    while d < 10**4:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    split, stack = {}, [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if kernels._is_prime_py(m):
+            split[m] = split.get(m, 0) + 1
+        else:
+            d = find_nontrivial_factor(m)
+            stack += [d, m // d]
+    return out + sorted(split.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(10**8, 2**64 - 1))
+@example(2 * (2**40 - 87))  # 2**40 - 87 is prime
+@example(9973 * (2**40 - 87))
+@example(9973**2 * (2**40 - 87))
+@example(2**20 * 7**3 * 1000003)
+def test_factorize_above_the_trial_gate_matches_the_reference(n):
+    assert factorize(n) == _reference_factorize(n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -178,6 +178,14 @@ def test_ordered_map_keeps_order_across_processes(monkeypatch):
     assert list(ordered_map(abs, items, jobs=2, chunksize=3)) == list(map(abs, items))
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ordered_map_takes_a_range_longer_than_a_machine_word(monkeypatch, jobs):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    out = ordered_map(abs, range(2, 2**70), jobs, 8)
+    assert [next(out) for _ in range(20)] == list(range(2, 22))
+    out.close()
+
+
 def test_passing_verify_builds_no_fraction(monkeypatch):
     """The oracle legs are compared as integer counts."""
     counts = _count_calls(monkeypatch, [verify.Fraction, arith.rat_make])
