@@ -69,6 +69,11 @@ def find_nontrivial_factor(n: int) -> int:
         raise ContractViolationError(
             f"find_nontrivial_factor requires a composite n >= 4, got {n}"
         )
+    return _split(n)
+
+
+def _split(n: int) -> int:
+    """:func:`find_nontrivial_factor` of an n already known composite."""
     root = math.isqrt(n)
     if root * root == n:
         return root
@@ -123,7 +128,7 @@ def factorize(n: int) -> Factorization:
             if is_prime(m):
                 split[m] = split.get(m, 0) + 1
                 continue
-            d = find_nontrivial_factor(m)
+            d = _split(m)
             stack.append(d)
             stack.append(m // d)
         return factors + sorted(split.items())

@@ -19,15 +19,19 @@ product.  Miller-Rabin (:func:`is_prime`) and Brent's rho
 (:func:`brent_rho`) test and split the cofactors that
 :mod:`zeroprod.factor` cannot settle by trial division.
 
-Three kernels have a compiled form, in ``_native.c``: Monte Carlo,
+Five kernels have a compiled form, in ``_native.c``: Monte Carlo,
 Brent's rho and Miller-Rabin, whose every step is a few big-integer
-operations.  This module is their only dispatch point.  A call runs the
-compiled form when its arguments fit 64 bits (n, samples and seed for
-Monte Carlo; n, c and x0 for rho; n for Miller-Rabin) and the library
-exists; otherwise it runs the pure form, which takes
-arbitrary-precision integers and returns the same values.  The
-extension module is built once per machine and Python, by the first
-import that finds it missing, into
+operations, and the pair count and graph edges, of Z_n and of product
+rings.  There the Z_n kernels
+run 16 rows side by side as running residues x*y mod n, and the
+product-ring kernels AND the same zero lanes as here, in 64-bit words.
+This module is their only dispatch point.  A call runs the compiled
+form when its arguments fit (n, samples and seed below 2**64 for Monte
+Carlo; n, c and x0 for rho; n for Miller-Rabin; a ring order below
+2**31 for the pair kernels) and the library exists; otherwise it runs
+the pure form, which takes arbitrary-precision integers and returns the
+same values.  The extension module is built once per machine and
+Python, by the first import that finds it missing, into
 ``__pycache__/_native-<crc32 of the source><extension suffix>`` through
 an atomic rename; a request never starts a compiler.  It is loaded at
 the first compiled call, so a process that runs none of these kernels
@@ -36,8 +40,7 @@ never loads it.  ``ZEROPROD_BACKEND=python`` selects the pure forms;
 
 Callers reach a ring's kernels through three entries that take its
 tuple of moduli: :func:`pair_count` and :func:`graph_edges` pick the
-multiples-table kernel for one modulus and the zero-lane kernel for
-more, and :func:`ann_size_histogram_mixed` takes Z_n as a one-modulus
+Z_n kernel for one modulus and the product-ring kernel for more, and :func:`ann_size_histogram_mixed` takes Z_n as a one-modulus
 product.  Callers use the module attribute (``kernels.pair_count``), and
 the entries look their kernels up as module globals at call time, so a
 kernel rebound on this module is the one that runs.
@@ -64,6 +67,7 @@ _SM64_MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024  # splitmix64 outputs computed side by side
 _TABLE_BYTES = 1 << 20  # cap on the size of the multiples table of Z_n
 _NATIVE_LIMIT = 1 << 64  # every argument of a compiled kernel is below this
+_PAIR_LIMIT = 1 << 31  # ring orders of the compiled pair kernels
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -214,8 +218,23 @@ def _multiples_table(n: int) -> bytes:
     return (b"\1" + bytes(n - 1)) * max(2, min(_TABLE_BYTES // n, n // 4 + 2))
 
 
+def _fits_pairs(mods: tuple[int, ...]) -> bool:
+    """The gate of the compiled pair kernels: every modulus >= 1 and the
+    ring order below 2**31, so a residue below n plus an element below n
+    cannot wrap their 32-bit lanes."""
+    return all(m > 0 for m in mods) and prod(mods) < _PAIR_LIMIT
+
+
 def ann_pair_count_zn(n: int) -> int:
     """Ordered pairs (x, y) in Z_n^2 with x*y = 0, by full enumeration.
+    The compiled form runs when 1 <= n < 2**31."""
+    if _fits_pairs((n,)) and (native := _compiled()) is not None:
+        return native.pair_count((n,))
+    return _ann_pair_count_zn_py(n)
+
+
+def _ann_pair_count_zn_py(n: int) -> int:
+    """Pure :func:`ann_pair_count_zn`.
 
     Multiplication commutes, so each unordered pair is tested once: the
     count is the diagonal plus twice the strict upper triangle.  Row x
@@ -261,6 +280,14 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
 
 def ann_pair_count_mixed(mods: tuple[int, ...]) -> int:
     """Ordered zero-product pairs in a product of Z_m rings, enumerated.
+    The compiled form runs when the ring order is below 2**31."""
+    if _fits_pairs(mods) and (native := _compiled()) is not None:
+        return native.pair_count(mods)
+    return _ann_pair_count_mixed_py(mods)
+
+
+def _ann_pair_count_mixed_py(mods: tuple[int, ...]) -> int:
+    """Pure :func:`ann_pair_count_mixed`.
 
     The row of a = (a_1, ..., a_r) is the AND over t of the lane of a_t:
     the bitset of every b with a*b = 0.  Its popcount counts them.
@@ -271,10 +298,19 @@ def ann_pair_count_mixed(mods: tuple[int, ...]) -> int:
 def graph_edges_zn(n: int, verts: list[int]) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in Z_n.
 
-    The vertices must be nonzero and strictly ascending.  Row i reads
-    the byte of every y in (verts[i], n) from the multiples table, as
-    ann_pair_count_zn does, and keeps the hits that are vertices, so
-    pairs come in ascending (i, j) order.
+    The vertices must be nonzero and strictly ascending.  The compiled
+    form runs when 1 <= n < 2**31.
+    """
+    if _fits_pairs((n,)) and (native := _compiled()) is not None:
+        return native.graph_edges((n,), verts)
+    return _graph_edges_zn_py(n, verts)
+
+
+def _graph_edges_zn_py(n: int, verts: list[int]) -> list[tuple[int, int]]:
+    """Pure :func:`graph_edges_zn`.  Row i reads the byte of every y in
+    (verts[i], n) from the multiples table, as the pure pair count does,
+    and keeps the hits that are vertices, so pairs come in ascending
+    (i, j) order.
     """
     table = _multiples_table(n)
     reach = len(table) - n
@@ -294,19 +330,36 @@ def graph_edges_zn(n: int, verts: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
+def _odometer_indices(mods: tuple[int, ...], verts: list[tuple[int, ...]]) -> list[int]:
+    """The index of each digit tuple among the ring's elements, the last
+    digit varying fastest."""
+    strides = [prod(mods[t + 1 :]) for t in range(len(mods))]
+    return [sum(map(mul, v, strides)) for v in verts]
+
+
 def graph_edges_mixed(
     mods: tuple[int, ...], verts: list[tuple[int, ...]]
 ) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in the
-    product of Z_m rings; vertices are digit tuples, one digit per modulus.
+    product of Z_m rings; vertices are distinct digit tuples, one digit
+    per modulus.  Pairs come in ascending (i, j) order when verts ascend.
+    The compiled form runs when the ring order is below 2**31.
+    """
+    if _fits_pairs(mods) and (native := _compiled()) is not None:
+        return native.graph_edges(mods, _odometer_indices(mods, verts))
+    return _graph_edges_mixed_py(mods, verts)
+
+
+def _graph_edges_mixed_py(
+    mods: tuple[int, ...], verts: list[tuple[int, ...]]
+) -> list[tuple[int, int]]:
+    """Pure :func:`graph_edges_mixed`.
 
     Row i ANDs the zero-product lanes of verts[i] with the bitset of the
     vertices after it, so each edge is read out once, at its first end.
-    Pairs come in ascending (i, j) order when verts ascend.
     """
     lanes = _zero_lanes(mods)
-    strides = [prod(mods[t + 1 :]) for t in range(len(mods))]
-    index = [sum(map(mul, v, strides)) for v in verts]
+    index = _odometer_indices(mods, verts)
     vertex_at = {p: i for i, p in enumerate(index)}
     later = 0
     for p in index:

@@ -1,6 +1,7 @@
 """The compiled and the pure kernels agree, and the compiled ones are
 built only at import and loaded only by the kernels that use them."""
 
+import itertools
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import time
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -146,9 +148,87 @@ def test_mr_backends_agree_near_the_gates(native_kernels, n):
     _mr_both(native_kernels, n | 1)
 
 
+def _zero_divisors(mods):
+    """Z(R) of Z_{m1} x ... x Z_{mr}, ascending: the nonzero elements with
+    a digit that shares a factor with its modulus (0 shares m).  Digit
+    tuples, or ints for one modulus."""
+    verts = [
+        v
+        for v in itertools.product(*map(range, mods))
+        if any(v) and any(gcd(d, m) > 1 for d, m in zip(v, mods))
+    ]
+    return [x for (x,) in verts] if len(mods) == 1 else verts
+
+
+def _pairs_both(lib, mods, verts):
+    """The pair count and edge list of both backends, which must agree."""
+    if len(mods) == 1:
+        count = kernels._ann_pair_count_zn_py(mods[0])
+        edges = kernels._graph_edges_zn_py(mods[0], verts)
+        index = verts
+    else:
+        count = kernels._ann_pair_count_mixed_py(mods)
+        edges = kernels._graph_edges_mixed_py(mods, verts)
+        index = kernels._odometer_indices(mods, verts)
+    assert lib.pair_count(mods) == count, mods
+    assert lib.graph_edges(mods, index) == edges, mods
+
+
+def test_pair_backends_agree_on_every_zn_to_600(native_kernels):
+    rng = random.Random(600)
+    for n in range(1, 601):
+        verts = _zero_divisors((n,))
+        _pairs_both(native_kernels, (n,), verts)
+        subset = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        assert native_kernels.graph_edges((n,), subset) == kernels._graph_edges_zn_py(n, subset)
+
+
+def test_pair_backends_agree_on_every_product_to_600(native_kernels):
+    # Moduli in ascending order: every product ring up to isomorphism.
+    rings = 0
+    for a in range(2, 301):
+        for b in range(a, 600 // a + 1):
+            for mods in [(a, b)] + [(a, b, c) for c in range(b, 600 // (a * b) + 1)]:
+                _pairs_both(native_kernels, mods, _zero_divisors(mods))
+                rings += 1
+    assert rings == 2459
+
+
+@st.composite
+def _rings_near_the_pair_cap(draw):
+    """One modulus, or two or three in any order, of product 3500-4096."""
+    mods = draw(st.lists(st.integers(2, 16), max_size=2))
+    rest = prod(mods)
+    mods.append(draw(st.integers(-(-3500 // rest), 4096 // rest)))
+    return tuple(draw(st.permutations(mods)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(mods=_rings_near_the_pair_cap(), seed=st.integers(0, 2**32))
+def test_pair_backends_agree_near_the_pair_cap(native_kernels, mods, seed):
+    verts = _zero_divisors(mods)
+    _pairs_both(native_kernels, mods, verts)
+    subset = sorted(random.Random(seed).sample(verts, len(verts) // 3))
+    _pairs_both(native_kernels, mods, subset)
+
+
+def test_graph_backends_agree_on_vertices_in_any_order(native_kernels):
+    # The product-ring kernels take the vertices in any order; edges
+    # (i, j) then have i < j by position, row by row in index order.
+    rng = random.Random(12)
+    for mods in ((12,), (4, 6), (2, 3, 4)):
+        verts = [v for v in itertools.product(*map(range, mods)) if any(v)]
+        rng.shuffle(verts)
+        index = kernels._odometer_indices(mods, verts)
+        assert native_kernels.graph_edges(mods, index) == kernels._graph_edges_mixed_py(mods, verts)
+
+
 def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypatch):
     calls = []
-    for name in ("_mc_zero_pairs_py", "_brent_rho_py", "_is_prime_py"):
+    pure = ["_mc_zero_pairs_py", "_brent_rho_py", "_is_prime_py"]
+    pure += ["_ann_pair_count_zn_py", "_ann_pair_count_mixed_py"]
+    pure += ["_graph_edges_zn_py", "_graph_edges_mixed_py"]
+    for name in pure:
         monkeypatch.setattr(kernels, name, lambda *args, name=name: calls.append(name))
     kernels.mc_zero_pairs_zn(1 << 64, 1, 0)
     kernels.mc_zero_pairs_zn(5, 1 << 64, 0)
@@ -157,10 +237,25 @@ def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypat
     kernels.brent_rho(15, 1 << 64)
     kernels.is_prime(1 << 64)
     kernels.is_prime(-1)
+    # The pair kernels keep the pure form from ring order 2**31 on.
+    kernels.ann_pair_count_zn(1 << 31)
+    kernels.ann_pair_count_mixed((1 << 16, 1 << 15))
+    kernels.ann_pair_count_mixed((3, 0))
+    kernels.graph_edges_zn(1 << 31, [2, 1 << 30])
+    kernels.graph_edges_mixed((2, 1 << 30), [(0, 2), (1, 0)])
     kernels.mc_zero_pairs_zn(2**64 - 1, 10, _MASK)
     kernels.brent_rho(2**64 - 1, 1)
     assert kernels.is_prime(2**64 - 59) and not kernels.is_prime(0)
-    assert calls == ["_mc_zero_pairs_py"] * 3 + ["_brent_rho_py"] * 2 + ["_is_prime_py"] * 2
+    # 2**31 - 1 is prime, and the columns end at the largest vertex.
+    assert kernels.graph_edges_zn(2**31 - 1, [1, 2]) == []
+    assert kernels.ann_pair_count_mixed((2, 3)) == 3 * 5
+    assert calls == (
+        ["_mc_zero_pairs_py"] * 3
+        + ["_brent_rho_py"] * 2
+        + ["_is_prime_py"] * 2
+        + ["_ann_pair_count_zn_py", "_ann_pair_count_mixed_py", "_ann_pair_count_mixed_py"]
+        + ["_graph_edges_zn_py", "_graph_edges_mixed_py"]
+    )
 
 
 def test_compiled_kernels_reject_what_does_not_fit(native_kernels):
@@ -177,32 +272,69 @@ def test_compiled_kernels_reject_what_does_not_fit(native_kernels):
             native_kernels.is_prime(n)
     with pytest.raises(TypeError):
         native_kernels.is_prime(5.0)
+    pair_count, graph_edges = native_kernels.pair_count, native_kernels.graph_edges
+    for mods in ((1 << 31,), (1 << 16, 1 << 15), (-1,), (3, 1 << 64)):
+        with pytest.raises(OverflowError):
+            pair_count(mods)
+        with pytest.raises(OverflowError):
+            graph_edges(mods, [])
+    for mods in ((), (0,), (4, 0)):
+        with pytest.raises(ValueError):
+            pair_count(mods)
+    for mods, verts in (((12,), [12]), ((12,), [3, 3]), ((3, 4), [4, 1, 4])):
+        with pytest.raises(ValueError):
+            graph_edges(mods, verts)
+    with pytest.raises(OverflowError):
+        graph_edges((12,), [-1])
+    for args in (((12,),), ((12,), [2], [3]), ((12,), None), ((12,), [2.0]), ((12.0,), [])):
+        with pytest.raises(TypeError):
+            graph_edges(*args)
+    with pytest.raises(TypeError):
+        pair_count(12)
+    # These lanes would take 2**58 bytes, more than any address space.
+    with pytest.raises(MemoryError):
+        pair_count((2, 2**30 - 1))
+    with pytest.raises(MemoryError):
+        graph_edges((2**30 - 1, 2), [1])
 
 
 _LONG_RUN = """
+import itertools
 from zeroprod import kernels
+units = list(itertools.product((1, 2), repeat=13))
 print("running", flush=True)
-kernels.mc_zero_pairs_zn(7, 1 << 62, 1)
+kernels.{}
 """
+
+# Each runs for minutes or more.  A product ring's lanes take
+# (sum of its moduli) * order / 8 bytes, so its order stays small.
+_LONG_CALLS = [
+    "mc_zero_pairs_zn(7, 1 << 62, 1)",
+    "ann_pair_count_zn(2**31 - 1)",
+    "ann_pair_count_mixed((2,) * 20)",
+    "graph_edges_zn(2**31 - 1, list(range(1, 1 << 20)))",
+    "graph_edges_mixed((3,) * 13, units)",
+]
 
 
 def test_interrupt_ends_a_long_compiled_run(native_kernels):
-    with subprocess.Popen(
-        [sys.executable, "-c", _LONG_RUN],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=_env(),
-    ) as proc:
-        assert proc.stdout.readline() == "running\n"
-        time.sleep(0.3)
-        proc.send_signal(signal.SIGINT)
-        try:
-            _, err = proc.communicate(timeout=30)
-        finally:
-            proc.kill()
-    assert proc.returncode != 0
-    assert "KeyboardInterrupt" in err
+    for call in _LONG_CALLS:
+        with subprocess.Popen(
+            [sys.executable, "-c", _LONG_RUN.format(call)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_env(),
+        ) as proc:
+            assert proc.stdout.readline() == "running\n"
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGINT)
+            try:
+                _, err = proc.communicate(timeout=30)
+            finally:
+                proc.kill()
+        assert proc.returncode != 0, call
+        assert "KeyboardInterrupt" in err, call
 
 
 # Runs CLI requests in one fresh interpreter and prints what each gave.
@@ -239,8 +371,9 @@ def _run_requests(requests, **env_changes):
 
 def _benchmark_requests():
     """One request of each prob-closed-form kind and the enum-kernels
-    montecarlo request, drawn as the benchmark draws them, and prob of a
-    prime, a strong pseudoprime and a Carmichael number."""
+    montecarlo request, drawn as the benchmark draws them, prob of a
+    prime, a strong pseudoprime and a Carmichael number, and paranoid
+    prob and graph requests the size of the enum-kernels ones."""
     rng = random.Random(801)
     semi = _random_prime(rng, 32) * _random_prime(rng, 32)
     prime = _random_prime(rng, 63)
@@ -258,6 +391,10 @@ def _benchmark_requests():
         [*mc, "--seed", str(rng.getrandbits(32))],
         ["montecarlo", str(2**64 - 1), "--samples", "1000", "--seed", str(_MASK)],
         ["montecarlo", str(2**40), "--samples", "1000", "--seed", "0", "--format", "csv"],
+        ["prob", "3591", "--paranoid"],
+        ["prob", "--ring", "Zn(65)xZn(55)", "--paranoid"],
+        ["graph", "3610"],
+        ["graph", "--ring", "Zn(12)xZn(10)xZn(9)"],
     ]
 
 
@@ -286,31 +423,40 @@ def test_import_loads_no_build_or_binding_module(native_kernels):
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
 
 
+# Runs CLI requests in one fresh interpreter and prints, after each,
+# whether the library is still unloaded and whether ctypes was imported.
 _PROBE_LOADS = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 from zeroprod import cli, kernels
 
 def never():
     raise AssertionError("only an import builds the library")
 
 kernels._build_native = never
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["scan", "30000", "30023", "--format", "csv"]) == 0
-    assert cli.main(["verify", "--max", "300", "--jobs", "2"]) == 0
-print(kernels._native is None, "ctypes" in sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["prob", "18446743979220271189"]) == 0  # two 32-bit primes
-print(kernels._native is None)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print(kernels._native is None, "ctypes" in sys.modules)
 """
 
 
-def test_scan_and_verify_leave_the_library_unloaded(native_kernels):
+def _probe_loads(requests):
     done = subprocess.run(
-        [sys.executable, "-c", _PROBE_LOADS], capture_output=True, text=True, env=_env()
+        [sys.executable, "-c", _PROBE_LOADS, json.dumps(requests)],
+        capture_output=True,
+        text=True,
+        env=_env(),
     )
     assert done.returncode == 0, done.stderr
-    # and a request that splits a 64-bit semiprime does load it
-    assert done.stdout == "True False\nFalse\n"
+    return done.stdout
+
+
+def test_scan_leaves_the_library_unloaded_and_verify_loads_it(native_kernels):
+    # verify runs its pair counts in this process with one job.
+    scan = ["scan", "30000", "30023", "--format", "csv"]
+    assert _probe_loads([scan, ["verify", "--max", "300"]]) == "True False\nFalse False\n"
+    # and a request that splits a 64-bit semiprime loads it
+    assert _probe_loads([["prob", "18446743979220271189"]]) == "False False\n"
 
 
 def _copy_package(root: Path) -> Path:

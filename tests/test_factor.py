@@ -205,6 +205,20 @@ def test_find_nontrivial_factor_splits_every_small_composite(request, backend):
             assert 1 < d < n and n % d == 0, n
 
 
+@pytest.mark.parametrize(
+    "primes, tests",
+    [((4294967291, 4294967279), 3), ((1048573, 1048571, 1048559), 5)],
+)
+def test_factorize_tests_each_cofactor_once(monkeypatch, primes, tests):
+    # The split loop tests each cofactor, prime or composite, exactly
+    # once: splitting a composite does not test it again.
+    tested = []
+    is_prime = kernels.is_prime
+    monkeypatch.setattr(kernels, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    assert factorize(math.prod(primes)) == [(p, 1) for p in sorted(primes)]
+    assert len(tested) == tests == len(set(tested))
+
+
 def test_find_nontrivial_factor_deterministic():
     n = 1000003 * 1000033
     assert find_nontrivial_factor(n) == find_nontrivial_factor(n)

@@ -127,7 +127,7 @@ def test_pair_count_zn_against_oracle():
         assert kernels.ann_pair_count_zn(n) == sum(gcd(x, n) for x in range(n)), n
 
 
-def test_pair_count_zn_across_table_windows(monkeypatch):
+def test_pair_count_zn_across_table_windows(monkeypatch, pure_backend):
     # A table of two periods makes rows split into slices of a few y,
     # so slice boundaries fall inside nearly every row.
     monkeypatch.setattr(kernels, "_TABLE_BYTES", 4)
@@ -177,14 +177,14 @@ def test_graph_edges_zn_against_oracle():
         assert kernels.graph_edges_zn(n, verts) == _brute_edges_zn(n, verts), n
 
 
-def test_graph_edges_zn_across_table_windows(monkeypatch):
+def test_graph_edges_zn_across_table_windows(monkeypatch, pure_backend):
     monkeypatch.setattr(kernels, "_TABLE_BYTES", 4)
     for n in range(2, 121):
         verts = _zero_divisors_zn(n)
         assert kernels.graph_edges_zn(n, verts) == _brute_edges_zn(n, verts), n
 
 
-def test_zn_kernels_where_the_table_cap_binds():
+def test_zn_kernels_where_the_table_cap_binds(pure_backend):
     # The multiples table holds n//4 + 2 periods, the most any row reads,
     # until that exceeds _TABLE_BYTES; from there the middle rows need
     # several slices.
