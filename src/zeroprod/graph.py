@@ -9,13 +9,20 @@ which keeps the pair-counting identity
 
 exact (both sides count ordered pairs of nonzero elements multiplying to
 zero).
+
+The graph stays in the index space of the edge kernel: edges are pairs
+of vertex indices, and each vertex's label, annihilator size and
+self-annihilation flag are computed once, when the graph is built.  The
+statistics count degrees by index and the exports assemble every line
+from per-vertex strings.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
+from itertools import compress, islice
+from types import SimpleNamespace
 
 from zeroprod import kernels
 from zeroprod.rings import (
@@ -24,47 +31,68 @@ from zeroprod.rings import (
     RingSpec,
     _ann_size,
     _require_pairwise,
+    _require_single,
     element_mul,
     element_str,
-    zero_divisor_set,
+    elements,
     zero_element,
 )
 
 
 @dataclass(frozen=True)
 class ZeroDivisorGraph:
-    """An immutable simple graph on Z(R).
+    """An immutable simple graph on Z(R), kept by vertex index.
 
-    ``vertices`` is canonically ordered; ``edges`` holds the (u, v) pairs
-    with u before v in that order, ascending, the order the exports write
-    them in; ``self_annihilators`` lists the vertices with x*x = 0.
+    ``vertices`` is canonically ordered; ``pairs`` holds the index pairs
+    (i, j), i < j, of the edges, ascending, as the edge kernel returns
+    them.  Vertex i is labelled ``labels[i]``, has the annihilator size
+    ``ann_sizes[i]`` and satisfies x*x = 0 iff ``self_annihilating[i]``.
     """
 
     spec: RingSpec
     vertices: tuple
-    edges: tuple
-    self_annihilators: frozenset
+    pairs: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    ann_sizes: tuple[int, ...]
+    self_annihilating: tuple[bool, ...]
+
+    @property
+    def edges(self) -> tuple:
+        """The (u, v) vertex pairs with u before v, ascending, the order
+        the exports write them in."""
+        verts = self.vertices
+        return tuple((verts[i], verts[j]) for i, j in self.pairs)
+
+    @property
+    def self_annihilators(self) -> frozenset:
+        """The vertices with x*x = 0."""
+        return frozenset(compress(self.vertices, self.self_annihilating))
 
 
 def build_graph(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> ZeroDivisorGraph:
     """Construct the graph by enumerating vertex pairs (O(|Z(R)|^2)).
 
-    The vertices ascend, so the kernels give the edges in ascending order.
-    Product vertices are already flat digit tuples, the kernels' input.
+    One walk over the elements in canonical order, which ascends, keeps
+    each nonzero x with |Ann(x)| >= 2, so the kernel gives the edges in
+    ascending order.  Product vertices are already flat digit tuples,
+    the kernels' input.
     """
     _require_pairwise(spec, caps)
-    verts = sorted(zero_divisor_set(spec, caps))
+    _require_single(spec, caps)
+    verts, sizes = [], []
+    for x in islice(elements(spec), 1, None):  # the zero element comes first
+        size = _ann_size(spec, x)
+        if size >= 2:
+            verts.append(x)
+            sizes.append(size)
     zero = zero_element(spec)
-    index_pairs = kernels.graph_edges(spec.moduli, verts)
-    edges = tuple((verts[i], verts[j]) for i, j in index_pairs)
-    self_ann = frozenset(
-        x for x in verts if element_mul(spec, x, x) == zero
-    )
     return ZeroDivisorGraph(
         spec=spec,
         vertices=tuple(verts),
-        edges=edges,
-        self_annihilators=self_ann,
+        pairs=tuple(kernels.graph_edges(spec.moduli, verts)),
+        labels=tuple(map(element_str, verts)),
+        ann_sizes=tuple(sizes),
+        self_annihilating=tuple(element_mul(spec, x, x) == zero for x in verts),
     )
 
 
@@ -78,60 +106,56 @@ class GraphStats:
 
 def graph_stats(g: ZeroDivisorGraph) -> GraphStats:
     """Vertex/edge counts, descending degree sequence, self-annihilators."""
-    degrees = {x: 0 for x in g.vertices}
-    for u, v in g.edges:
-        degrees[u] += 1
-        degrees[v] += 1
+    degree = [0] * len(g.vertices)
+    for i, j in g.pairs:
+        degree[i] += 1
+        degree[j] += 1
     return GraphStats(
         vertex_count=len(g.vertices),
-        edge_count=len(g.edges),
-        degree_sequence=tuple(sorted(degrees.values(), reverse=True)),
-        self_annihilator_count=len(g.self_annihilators),
+        edge_count=len(g.pairs),
+        degree_sequence=tuple(sorted(degree, reverse=True)),
+        self_annihilator_count=sum(g.self_annihilating),
     )
 
 
-def _dot_id(x) -> str:
-    text = element_str(x)
-    return text if text.isdigit() else f'"{text}"'
+def _edge_lines(g: ZeroDivisorGraph, before: list[str], after: list[str]) -> list[str]:
+    """One line per edge (i, j): the text before[i] + after[j]."""
+    return [before[i] + after[j] for i, j in g.pairs]
+
+
+def _csv_fields(labels) -> list[str]:
+    """Each label as ``csv.writer`` writes it, quoted when it must be:
+    one row per label, with its line terminator cut off."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerows(zip(labels))
+    return [line[:-1] for line in lines]
 
 
 def export_dot(g: ZeroDivisorGraph) -> str:
     """Deterministic DOT text; self-annihilators get a node attribute."""
-    ids = {x: _dot_id(x) for x in g.vertices}  # each vertex rendered once
-    lines = ["graph zero_divisors {"]
-    for x in g.vertices:
-        if x in g.self_annihilators:
-            lines.append(f"  {ids[x]} [selfann=true];")
-        else:
-            lines.append(f"  {ids[x]};")
-    for u, v in g.edges:
-        lines.append(f"  {ids[u]} -- {ids[v]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ids = [text if text.isdigit() else f'"{text}"' for text in g.labels]
+    nodes = [
+        f"  {d} [selfann=true];\n" if selfann else f"  {d};\n"
+        for d, selfann in zip(ids, g.self_annihilating)
+    ]
+    edges = _edge_lines(g, [f"  {d} -- " for d in ids], [f"{d};\n" for d in ids])
+    return "".join(["graph zero_divisors {\n", *nodes, *edges, "}\n"])
 
 
 def export_edges_csv(g: ZeroDivisorGraph) -> str:
     """Edge list with header u,v, one row per edge, canonical order."""
-    labels = {x: element_str(x) for x in g.vertices}  # each vertex rendered once
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "v"])
-    for u, v in g.edges:
-        writer.writerow([labels[u], labels[v]])
-    return buf.getvalue()
+    fields = _csv_fields(g.labels)
+    edges = _edge_lines(g, [f"{f}," for f in fields], [f"{f}\n" for f in fields])
+    return "".join(["u,v\n", *edges])
 
 
 def export_vertices_csv(g: ZeroDivisorGraph) -> str:
     """Vertex table: element, annihilator size, self-annihilating flag."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["element", "ann_size", "self_annihilating"])
-    for x in g.vertices:
-        writer.writerow(
-            [
-                element_str(x),
-                _ann_size(g.spec, x),
-                "true" if x in g.self_annihilators else "false",
-            ]
+    rows = [
+        f"{f},{size},{'true' if selfann else 'false'}\n"
+        for f, size, selfann in zip(
+            _csv_fields(g.labels), g.ann_sizes, g.self_annihilating
         )
-    return buf.getvalue()
+    ]
+    return "".join(["element,ann_size,self_annihilating\n", *rows])

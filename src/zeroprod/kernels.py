@@ -30,7 +30,10 @@ form when its arguments fit (n, samples and seed below 2**64 for Monte
 Carlo; n, c and x0 for rho; n for Miller-Rabin; a ring order below
 2**31 for the pair kernels) and the library exists; otherwise it runs
 the pure form, which takes arbitrary-precision integers and returns the
-same values.  The extension module is built once per machine and
+same values.  Either form of a product-ring kernel holds (sum of the
+moduli) zero lanes of ceil(order/64) words; a call whose lanes would
+take more than 2**28 bytes raises ``ResourceLimitError`` before
+anything is allocated.  The extension module is built once per machine and
 Python, by the first import that finds it missing, into
 ``__pycache__/_native-<crc32 of the source><extension suffix>`` through
 an atomic rename; a request never starts a compiler.  It is loaded at
@@ -59,6 +62,7 @@ from operator import and_, countOf, getitem, mod, mul, not_
 from struct import Struct
 
 from zeroprod.arith import histogram_product
+from zeroprod.errors import ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
@@ -68,6 +72,7 @@ _BLOCK = 1024  # splitmix64 outputs computed side by side
 _TABLE_BYTES = 1 << 20  # cap on the size of the multiples table of Z_n
 _NATIVE_LIMIT = 1 << 64  # every argument of a compiled kernel is below this
 _PAIR_LIMIT = 1 << 31  # ring orders of the compiled pair kernels
+_LANE_BYTES = 1 << 28  # cap on the zero lanes of one product-ring kernel call
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -252,6 +257,19 @@ def _ann_pair_count_zn_py(n: int) -> int:
     return diagonal + 2 * upper
 
 
+def _require_lanes(mods: tuple[int, ...]) -> None:
+    """Refuse a product ring whose zero lanes would take more than
+    _LANE_BYTES: (sum of the moduli) lanes of ceil(order/64) 64-bit
+    words, on either backend.  The compiled branches and the pure forms'
+    :func:`_zero_lanes` call it before any lane is allocated."""
+    lane_bytes = sum(mods) * -(-prod(mods) // 64) * 8
+    if lane_bytes > _LANE_BYTES:
+        raise ResourceLimitError(
+            f"the zero lanes of a product ring of order {prod(mods)} take "
+            f"{lane_bytes} bytes, above the lane-memory limit of {_LANE_BYTES} bytes"
+        )
+
+
 def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     """Per component t and digit v, the set of elements b of the product
     whose digit b_t satisfies v*b_t = 0 in Z_{m_t}, as a bitset.
@@ -262,6 +280,7 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     are found by enumerating w; a pattern with one bit per such block
     times a repunit of filled blocks lifts them to the whole index range.
     """
+    _require_lanes(mods)
     total = prod(mods)
     lanes = []
     stride = total
@@ -282,6 +301,7 @@ def ann_pair_count_mixed(mods: tuple[int, ...]) -> int:
     """Ordered zero-product pairs in a product of Z_m rings, enumerated.
     The compiled form runs when the ring order is below 2**31."""
     if _fits_pairs(mods) and (native := _compiled()) is not None:
+        _require_lanes(mods)
         return native.pair_count(mods)
     return _ann_pair_count_mixed_py(mods)
 
@@ -346,6 +366,7 @@ def graph_edges_mixed(
     The compiled form runs when the ring order is below 2**31.
     """
     if _fits_pairs(mods) and (native := _compiled()) is not None:
+        _require_lanes(mods)
         return native.graph_edges(mods, _odometer_indices(mods, verts))
     return _graph_edges_mixed_py(mods, verts)
 

@@ -137,6 +137,27 @@ class TestBounds:
         assert code == 0
 
 
+# The CLI in a process that may map at most 1 GiB once it is loaded.
+_CAPPED_CLI = (
+    "import resource, sys; from zeroprod.cli import main; "
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "sys.exit(main(sys.argv[1:]))"
+)
+
+
+def test_paranoid_product_refuses_lanes_above_the_limit():
+    """Thirty Zn(2) fit a cap of 2**30, but the pair count's zero lanes
+    would take 8 GB: the command exits 3 before allocating them."""
+    ring = "x".join(["Zn(2)"] * 30)
+    argv = ["prob", "--ring", ring, "--paranoid", "--cap", str(1 << 30)]
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert done.stderr.startswith("zeroprod: resource limit: ")
+    assert "lane-memory limit of 268435456 bytes" in done.stderr
+
+
 class TestScan:
     def test_small_range(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "2", "4")

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import zeroprod.graph
+from zeroprod import rings
 from zeroprod.errors import ResourceLimitError
 from zeroprod.graph import (
     build_graph,
@@ -158,17 +159,122 @@ class TestCsv:
 
 @pytest.mark.parametrize("export", [export_dot, export_edges_csv, export_vertices_csv])
 def test_export_renders_each_vertex_once(monkeypatch, export):
-    g = build_graph(parse_ring("Zn(9)xZn(10)xZn(11)"))
-    before = export(g)
-    rendered = []
+    """element_str runs once per vertex per graph, when it is built; no
+    export renders a vertex or measures an annihilator again."""
+    spec = parse_ring("Zn(9)xZn(10)xZn(11)")
+    before = export(build_graph(spec))
+    rendered, sized = [], []
 
-    def counted(x):
+    def counted_str(x):
         rendered.append(x)
         return element_str(x)
 
-    monkeypatch.setattr(zeroprod.graph, "element_str", counted)
+    def counted_size(*args):
+        sized.append(args)
+        return rings._ann_size(*args)
+
+    monkeypatch.setattr(zeroprod.graph, "element_str", counted_str)
+    g = build_graph(spec)
+    assert rendered == list(g.vertices)
+    monkeypatch.setattr(zeroprod.graph, "_ann_size", counted_size)
     assert export(g) == before
-    assert sorted(rendered) == list(g.vertices)
+    for each in (export_dot, export_edges_csv, export_vertices_csv):
+        each(g)
+    assert rendered == list(g.vertices)
+    assert sized == []
+
+
+# Reference renderers: one f-string or one csv.writer row per line, each
+# vertex looked up by value, its label and size computed where it is used.
+def _ref_dot(g, selfann):
+    def dot_id(x):
+        text = element_str(x)
+        return text if text.isdigit() else f'"{text}"'
+
+    ids = {x: dot_id(x) for x in g.vertices}
+    lines = ["graph zero_divisors {"]
+    for x in g.vertices:
+        if x in selfann:
+            lines.append(f"  {ids[x]} [selfann=true];")
+        else:
+            lines.append(f"  {ids[x]};")
+    for u, v in g.edges:
+        lines.append(f"  {ids[u]} -- {ids[v]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_edges_csv(g):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["u", "v"])
+    for u, v in g.edges:
+        writer.writerow([element_str(u), element_str(v)])
+    return buf.getvalue()
+
+
+def _ref_vertices_csv(g, selfann):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["element", "ann_size", "self_annihilating"])
+    for x in g.vertices:
+        writer.writerow(
+            [element_str(x), ann_size(g.spec, x), "true" if x in selfann else "false"]
+        )
+    return buf.getvalue()
+
+
+def _ref_stats(g, selfann):
+    degrees = {x: 0 for x in g.vertices}
+    for u, v in g.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    return (
+        len(g.vertices),
+        len(g.edges),
+        tuple(sorted(degrees.values(), reverse=True)),
+        len(selfann),
+    )
+
+
+_BYTE_RINGS = (
+    [Zn(n) for n in range(2, 401)]
+    + [Zn(3960)]
+    + [
+        parse_ring(text)
+        for text in ("Zn(2)xZn(2)", "Zn(9)xZn(10)xZn(11)", "Zn(12)xZn(10)xZn(9)", "Zn(5)xZn(7)")
+    ]
+    + [
+        Product((Zn(4), Product((Zn(2), Zn(3))))),
+        Product((Product((Zn(3), Zn(2))), Product((Zn(2), Zn(4))))),
+    ]
+)
+
+
+def test_exports_and_stats_match_the_row_by_row_renderers():
+    """Every export byte and every statistic is what the renderers that
+    wrote one csv row or one f-string per line gave."""
+    for spec in _BYTE_RINGS:
+        g = build_graph(spec)
+        zero = zero_element(spec)
+        selfann = {x for x in g.vertices if element_mul(spec, x, x) == zero}
+        assert g.self_annihilators == selfann, spec
+        assert export_dot(g) == _ref_dot(g, selfann), spec
+        assert export_edges_csv(g) == _ref_edges_csv(g), spec
+        assert export_vertices_csv(g) == _ref_vertices_csv(g, selfann), spec
+        s = graph_stats(g)
+        got = (s.vertex_count, s.edge_count, s.degree_sequence, s.self_annihilator_count)
+        assert got == _ref_stats(g, selfann), spec
+
+
+_DOUBLE_LOOP_RINGS = [
+    "Zn(12)",
+    "Zn(360)",
+    "Zn(1024)",
+    "Zn(4)xZn(6)",
+    "Zn(2)xZn(3)xZn(4)",
+    "Zn(9)xZn(10)",
+]
 
 
 class TestIdentities:
@@ -199,11 +305,12 @@ class TestIdentities:
     def test_vertices_equal_zero_divisor_set(self):
         for n in (6, 30, 210):
             assert set(build_graph(Zn(n)).vertices) == zero_divisor_set(Zn(n))
+        for text in _DOUBLE_LOOP_RINGS:
+            spec = parse_ring(text)
+            assert build_graph(spec).vertices == tuple(sorted(zero_divisor_set(spec)))
 
 
-@pytest.mark.parametrize(
-    "text", ["Zn(12)", "Zn(360)", "Zn(1024)", "Zn(4)xZn(6)", "Zn(2)xZn(3)xZn(4)", "Zn(9)xZn(10)"]
-)
+@pytest.mark.parametrize("text", _DOUBLE_LOOP_RINGS)
 def test_edges_equal_an_element_mul_double_loop(text):
     spec = parse_ring(text)
     g = build_graph(spec)

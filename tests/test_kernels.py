@@ -3,6 +3,8 @@
 import functools
 import itertools
 import random
+import subprocess
+import sys
 from collections import Counter
 from math import gcd, prod
 
@@ -155,6 +157,51 @@ def test_graph_edges_mixed_against_oracle(mods):
     shuffled = random.Random(len(verts)).sample(verts, len(verts))
     got = kernels.graph_edges_mixed(mods, shuffled)
     assert sorted(got) == _brute_edges(mods, shuffled)
+
+
+# Runs one product-ring kernel call on thirty Zn(2), whose zero lanes
+# would take 60 * 2**24 words = 8 GB, in a process that may map at most
+# 1 GiB: a kernel that allocated its lanes first would end in MemoryError.
+_LANE_PROBE = """
+import resource, sys
+from zeroprod import kernels
+from zeroprod.errors import ResourceLimitError
+
+mods, verts = (2,) * 30, [(0,) * 29 + (1,), (1,) + (0,) * 29]
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+try:
+    {}
+except ResourceLimitError as exc:
+    print(exc, file=sys.stderr)
+    sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "kernels.ann_pair_count_mixed(mods)",
+        "kernels.graph_edges_mixed(mods, verts)",
+        "kernels._ann_pair_count_mixed_py(mods)",
+        "kernels._graph_edges_mixed_py(mods, verts)",
+    ],
+)
+def test_product_kernels_refuse_lanes_above_the_limit(call):
+    done = subprocess.run(
+        [sys.executable, "-c", _LANE_PROBE.format(call)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr
+    assert "lane-memory limit of 268435456 bytes" in done.stderr
+
+
+def test_lane_limit_admits_every_default_cap_product():
+    """The largest lanes under the pair cap 2**12 are those of Zn(2)xZn(2048)."""
+    for mods in ((2, 2048), (2, 2, 1024), (64, 64), (2,) * 12):
+        kernels._require_lanes(mods)
+    assert kernels.ann_pair_count_mixed((2, 2048)) == 3 * kernels.ann_pair_count_zn(2048)
 
 
 def _brute_edges_zn(n, verts):
