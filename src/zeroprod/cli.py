@@ -202,20 +202,34 @@ _SCAN_HEADER = _SCAN_LINE.format(
     n="n", factorization="factorization", p="P", p_decimal="decimal", lower="lower",
     upper="upper", zcount="zcount", maxann="maxann", bounds_hold="holds",
 )
+_SCAN_CSV_HEADER = "n,factorization,p,p_decimal,lower,upper,zcount,maxann,bounds_hold\n"
 
 
-def _write_scan_csv(writer, record: dict, first: bool) -> None:
-    if first:
-        writer.writerow(record.keys())
-    writer.writerow(_csv_cell(v) for v in record.values())
+def _scan_csv_line(row, digits: int) -> str:
+    """One CSV row, the cells of :func:`_scan_record` in its order.  No
+    cell needs quoting: each is an integer, "p^e * ...", "a/b" (as
+    ``ratio_str`` writes it), a fixed-point decimal, true, false or empty."""
+    (p, q), (a, b), (c, d) = row.exact, row.lower, row.upper
+    maxann = "" if row.maxann is None else row.maxann
+    holds = "true" if row.bounds_hold else "false"
+    return (
+        f"{row.n},{row.factorization_text},{p}/{q},{ratio_decimal(p, q, digits)},"
+        f"{a}/{b},{c}/{d},{row.zcount},{maxann},{holds}\n"
+    )
 
 
-def _write_scan_table(record: dict, first: bool) -> None:
-    if first:
-        print(_SCAN_HEADER)
-    maxann = "-" if record["maxann"] is None else record["maxann"]
-    holds = "yes" if record["bounds_hold"] else "NO"
-    print(_SCAN_LINE.format(**{**record, "maxann": maxann, "bounds_hold": holds}))
+def _scan_table_line(row, digits: int) -> str:
+    return _SCAN_LINE.format(
+        n=row.n,
+        factorization=row.factorization_text,
+        p=ratio_str(*row.exact),
+        p_decimal=ratio_decimal(*row.exact, digits),
+        lower=ratio_str(*row.lower),
+        upper=ratio_str(*row.upper),
+        zcount=row.zcount,
+        maxann="-" if row.maxann is None else row.maxann,
+        bounds_hold="yes" if row.bounds_hold else "NO",
+    ) + "\n"
 
 
 def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
@@ -226,15 +240,20 @@ def _less(a: tuple[int, int], b: tuple[int, int]) -> bool:
 def _cmd_scan(args, parser) -> int:
     if args.lo < 2 or args.lo > args.hi:
         parser.error(f"need 2 <= LO <= HI, got {args.lo} {args.hi}")
+    rows = scan_rows(args.lo, args.hi)
     records = []
-    write = {
-        "json": lambda record, first: records.append(record),
-        "csv": functools.partial(_write_scan_csv, csv.writer(sys.stdout, lineterminator="\n")),
-        "table": _write_scan_table,
+    render, write = {
+        "json": (_scan_record, records.append),
+        "csv": (_scan_csv_line, sys.stdout.write),
+        "table": (_scan_table_line, sys.stdout.write),
     }[args.format]
+    if args.format == "csv":
+        write(_SCAN_CSV_HEADER)
+    elif args.format == "table":
+        print(_SCAN_HEADER)
     all_hold, min_row, max_row = True, None, None
-    for count, row in enumerate(scan_rows(args.lo, args.hi), 1):
-        write(_scan_record(row, args.digits), first=count == 1)
+    for count, row in enumerate(rows, 1):
+        write(render(row, args.digits))
         all_hold &= row.bounds_hold
         # min and max keep the earlier row on ties, so the lowest such n.
         if min_row is None:

@@ -98,14 +98,10 @@ def _validate_l_k(l: int, zcount: int) -> None:
         )
 
 
-def _lower_numerator(l: int, zcount: int) -> int:
-    _validate_l_k(l, zcount)
-    return 2 * l + zcount - 1
-
-
 def lower_bound(l: int, zcount: int) -> Fraction:
     """(2l + k - 1) / l^2 with k = |Z(R)|; every ring sits at or above it."""
-    return rat_make(_lower_numerator(l, zcount), l * l)
+    _validate_l_k(l, zcount)
+    return rat_make(_chain(l, zcount, None, 0, 1)[0], l * l)
 
 
 def _validate_m(l: int, zcount: int, m: int) -> None:
@@ -123,15 +119,11 @@ def _validate_m(l: int, zcount: int, m: int) -> None:
         )
 
 
-def _upper_numerator(l: int, zcount: int, m: int) -> int:
-    _validate_l_k(l, zcount)
-    _validate_m(l, zcount, m)
-    return 2 * l + (m - 1) * zcount - 1
-
-
 def upper_bound(l: int, zcount: int, m: int) -> Fraction:
     """(2l + (m-1)k - 1) / l^2; pass m = 1 when there are no zero-divisors."""
-    return rat_make(_upper_numerator(l, zcount, m), l * l)
+    _validate_l_k(l, zcount)
+    _validate_m(l, zcount, m)
+    return rat_make(_chain(l, zcount, m, 0, 1)[1], l * l)
 
 
 def p_integral_domain(l: int) -> Fraction:
@@ -165,18 +157,30 @@ def bound_chain(
 
         lower <= P <= upper <= 1/2 + 1/l^2 <= 3/4
 
-    holds for P = num/den given as ``p = (num, den)``, den >= 1.  This is
-    the one place the chain is written.  It is decided in integers, by
-    cross-multiplication over the common denominators l^2, 2l^2 and 4l^2,
-    so no ``Fraction`` is built; callers that print the bounds build them
-    from the numerators.  ``maxann`` is None when the ring has no
-    zero-divisors (m = 1).
+    holds for P = num/den given as ``p = (num, den)``, den >= 1.  It is
+    decided in integers, by cross-multiplication over the common
+    denominators l^2, 2l^2 and 4l^2, so no ``Fraction`` is built; callers
+    that print the bounds build them from the numerators.  ``maxann`` is
+    None when the ring has no zero-divisors (m = 1).  Every input is
+    checked first: an impossible l, k, m or denominator raises.
     """
     num, den = p
     if as_natural(den, "denominator") == 0:
         raise ZeroDenominatorError("denominator must be >= 1")
-    lower = _lower_numerator(l, zcount)
-    upper = _upper_numerator(l, zcount, 1 if maxann is None else maxann)
+    _validate_l_k(l, zcount)
+    _validate_m(l, zcount, 1 if maxann is None else maxann)
+    return _chain(l, zcount, maxann, num, den)
+
+
+def _chain(
+    l: int, zcount: int, maxann: int | None, num: int, den: int
+) -> tuple[int, int, bool]:
+    """:func:`bound_chain` without its input checks, for a caller whose
+    l, k, m and P come from a proven factorization.  This is the one
+    place the chain and its bounds are written."""
+    m = 1 if maxann is None else maxann
+    lower = 2 * l + zcount - 1
+    upper = 2 * l + (m - 1) * zcount - 1
     l2 = l * l
     holds = (
         lower * den <= num * l2 <= upper * den

@@ -54,6 +54,7 @@ from __future__ import annotations
 import os
 import shutil
 import zlib
+from contextlib import suppress
 from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import compress, product, repeat
@@ -86,7 +87,8 @@ def _build_native() -> tuple[str | None, str | None]:
     source and the interpreter's extension suffix, so an edited source or
     another Python builds its own.  A compiler that fails leaves a
     ``.failed`` file holding its reason, and later imports read that
-    instead of compiling again; delete it to retry.
+    instead of compiling again; delete it to retry.  A successful build
+    deletes the builds of other sources for the same Python.
     """
     source = os.path.join(_HERE, "_native.c")
     try:
@@ -124,6 +126,7 @@ def _build_native() -> tuple[str | None, str | None]:
         )
         if done.returncode == 0:
             os.replace(tmp, library)
+            _remove_stale_builds(cache, key)
             return library, None
         lines = done.stderr.strip().splitlines() or [f"exit code {done.returncode}"]
         why = f"build failed: {compiler}: {lines[0]}"
@@ -135,6 +138,24 @@ def _build_native() -> tuple[str | None, str | None]:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _remove_stale_builds(cache: str, key: int) -> None:
+    """Delete from ``cache`` the builds for this Python of sources other
+    than the one of CRC ``key``, and their ``.failed`` markers.  Other
+    Pythons' builds, of other extension suffixes, stay."""
+    import re
+
+    build = re.compile(rf"_native-([0-9a-f]{{8}}){re.escape(EXTENSION_SUFFIXES[0])}(\.failed)?")
+    try:
+        names = os.listdir(cache)
+    except OSError:
+        return
+    for name in names:
+        match = build.fullmatch(name)
+        if match and match[1] != f"{key:08x}":
+            with suppress(OSError):
+                os.unlink(os.path.join(cache, name))
 
 
 def _load_native(path: str):
@@ -270,6 +291,22 @@ def _require_lanes(mods: tuple[int, ...]) -> None:
         )
 
 
+def _repeat(bits: int, width: int, count: int) -> int:
+    """``count`` copies of ``bits`` (below 2**width), one every ``width``
+    bits.  Doubling builds them with O(log count) shifts and ORs, so the
+    cost is linear in the count*width bits made."""
+    out = shift = 0
+    while True:
+        if count & 1:
+            out |= bits << shift
+            shift += width
+        count >>= 1
+        if not count:
+            return out
+        bits |= bits << width
+        width *= 2
+
+
 def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     """Per component t and digit v, the set of elements b of the product
     whose digit b_t satisfies v*b_t = 0 in Z_{m_t}, as a bitset.
@@ -277,8 +314,9 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     Bit i stands for the element with odometer index i (the last digit
     varies fastest), so digit t selects blocks of stride_t consecutive
     bits, repeated every m_t*stride_t bits.  The digits w with v*w = 0
-    are found by enumerating w; a pattern with one bit per such block
-    times a repunit of filled blocks lifts them to the whole index range.
+    are found by enumerating w; a pattern with one bit per such block,
+    times 2**stride_t - 1, fills their blocks within one period, and
+    :func:`_repeat` lifts the period to the whole index range.
     """
     _require_lanes(mods)
     total = prod(mods)
@@ -287,12 +325,11 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     for m in mods:
         stride //= m
         tile = m * stride
-        fill = ((1 << stride) - 1) * (((1 << total) - 1) // ((1 << tile) - 1))
         lane = []
         for v in range(m):
             products = map(mod, range(0, v * m, v), repeat(m)) if v else repeat(0, m)
             pattern = sum(1 << (w * stride) for w in compress(range(m), map(not_, products)))
-            lane.append(pattern * fill)
+            lane.append(_repeat((pattern << stride) - pattern, tile, total // tile))
         lanes.append(lane)
     return lanes
 

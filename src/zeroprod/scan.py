@@ -5,17 +5,22 @@ n: P(Z_n) is the product of ((e+1)p - e) / p^(e+1), phi(n) the product
 of p^(e-1) (p - 1), k = n - phi(n) - 1 and m = n / p_min.  A row is
 computed from them with integers only, in O(omega(n)) after factoring:
 no annihilator histogram is built and no ``Fraction`` is made, and every
-rational is a reduced integer pair (num, den).
+rational is a reduced integer pair (num, den).  The bound chain is
+decided by the unchecked core of :func:`zeroprod.formulas.bound_chain`,
+because k, m and P come from a proven factorization; the public
+``bound_chain`` still validates its inputs.  The command line formats
+each CSV and table row straight from the row, as one string.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import gcd
 
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import _PRIME_LIMIT, Factorization, factorization_str, factorize
-from zeroprod.formulas import bound_chain, p_zn_ratio
+from zeroprod.formulas import _chain, p_zn_ratio
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ def scan_row(n: int) -> ScanRow:
         phi *= p ** (e - 1) * (p - 1)
     zcount = n - phi - 1
     maxann = n // f[0][0] if zcount else None
-    lower, upper, hold = bound_chain(n, zcount, maxann, exact)
+    lower, upper, hold = _chain(n, zcount, maxann, *exact)
     l2 = n * n
     return ScanRow(
         n=n,
@@ -65,16 +70,16 @@ def scan_row(n: int) -> ScanRow:
     )
 
 
-def scan_rows(lo: int, hi: int):
-    """Yield rows for n = lo..hi ascending, in this process.
+def scan_rows(lo: int, hi: int) -> Iterator[ScanRow]:
+    """An iterator over the rows for n = lo..hi ascending, in this process.
 
     Computing a row costs less than pickling it to a worker process and
     back, so a process pool would only slow a scan down.  hi must be
-    below 2**64, where every modulus is guaranteed to factor; the check
-    runs before the first row.
+    below 2**64, where every modulus is guaranteed to factor; the range
+    is checked by this call, so a bad one raises before any row exists.
     """
     if lo < 2 or lo > hi:
         raise InvalidInputError(f"need 2 <= lo <= hi, got lo={lo} hi={hi}")
     if hi >= _PRIME_LIMIT:
         raise InvalidInputError(f"scan needs hi < 2**64, got hi={hi}")
-    yield from map(scan_row, range(lo, hi + 1))
+    return map(scan_row, range(lo, hi + 1))

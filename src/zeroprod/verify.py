@@ -152,7 +152,9 @@ def run_verify(
     _require_single(Zn(max_n), caps)
     report = VerifyReport(max_n=max_n)
     check = partial(_check_n, caps=caps, pairwise_bound=pairwise_bound)
-    for checks, failures in ordered_map(check, range(2, max_n + 1), jobs, chunksize=32):
+    # Smaller chunks spend most of what a second worker gains on round
+    # trips to the pool.
+    for checks, failures in ordered_map(check, range(2, max_n + 1), jobs, chunksize=256):
         report.rings_checked += 1
         report.checks_run += checks
         report.failures.extend(failures)

@@ -10,6 +10,8 @@ import signal
 import subprocess
 import sys
 import time
+import zlib
+from importlib.machinery import EXTENSION_SUFFIXES
 from math import gcd, prod
 from pathlib import Path
 
@@ -372,8 +374,9 @@ def _run_requests(requests, **env_changes):
 def _benchmark_requests():
     """One request of each prob-closed-form kind and the enum-kernels
     montecarlo request, drawn as the benchmark draws them, prob of a
-    prime, a strong pseudoprime and a Carmichael number, and paranoid
-    prob and graph requests the size of the enum-kernels ones."""
+    prime, a strong pseudoprime and a Carmichael number, paranoid prob
+    and graph requests the size of the enum-kernels ones, a CSV scan at
+    the 2**64 edge and a verify split across a pool."""
     rng = random.Random(801)
     semi = _random_prime(rng, 32) * _random_prime(rng, 32)
     prime = _random_prime(rng, 63)
@@ -395,6 +398,8 @@ def _benchmark_requests():
         ["prob", "--ring", "Zn(65)xZn(55)", "--paranoid"],
         ["graph", "3610"],
         ["graph", "--ring", "Zn(12)xZn(10)xZn(9)"],
+        ["scan", "18446744073709551416", "18446744073709551615", "--format", "csv"],
+        ["verify", "--max", "600", "--jobs", "2"],
     ]
 
 
@@ -483,6 +488,24 @@ def test_no_compiler_falls_back_to_pure(tmp_path):
     assert not list((package / "__pycache__").glob("_native*"))
     usual = _run_requests(requests[1:])
     assert pure["results"][1:] == usual["results"]
+
+
+def test_build_removes_stale_builds_of_this_python(tmp_path, monkeypatch, native_kernels):
+    shutil.copy(_PACKAGE / "_native.c", tmp_path / "_native.c")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = [f"_native-00000000{suffix}", f"_native-0badc0de{suffix}.failed"]
+    other = ".cpython-0-other.so"  # another Python's extension suffix
+    kept = [f"_native-00000000{other}", f"_native-0badc0de{other}.failed", "unrelated.txt"]
+    for name in stale + kept:
+        (cache / name).write_text("")
+    monkeypatch.setattr(kernels, "_HERE", str(tmp_path))
+    path, why = kernels._build_native()
+    assert why is None
+    key = zlib.crc32((tmp_path / "_native.c").read_bytes())
+    assert Path(path) == cache / f"_native-{key:08x}{suffix}"
+    assert sorted(p.name for p in cache.iterdir()) == sorted([Path(path).name, *kept])
 
 
 def test_failed_build_is_recorded_and_not_retried(tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from math import gcd, prod
 
@@ -157,6 +158,34 @@ def test_graph_edges_mixed_against_oracle(mods):
     shuffled = random.Random(len(verts)).sample(verts, len(verts))
     got = kernels.graph_edges_mixed(mods, shuffled)
     assert sorted(got) == _brute_edges(mods, shuffled)
+
+
+def _division_lanes(mods):
+    """The zero lanes as repunits made by big-integer division: the
+    pattern of zero digits in one block per digit, times the filled
+    blocks repeated every tile."""
+    total, stride, lanes = prod(mods), prod(mods), []
+    for m in mods:
+        stride //= m
+        tile = m * stride
+        fill = ((1 << stride) - 1) * (((1 << total) - 1) // ((1 << tile) - 1))
+        patterns = (sum(1 << (w * stride) for w in range(m) if v * w % m == 0) for v in range(m))
+        lanes.append([pattern * fill for pattern in patterns])
+    return lanes
+
+
+def test_zero_lanes_equal_the_division_form():
+    for r in (1, 2, 3):
+        for mods in itertools.product(range(2, 7), repeat=r):
+            assert kernels._zero_lanes(mods) == _division_lanes(mods), mods
+
+
+def test_zero_lanes_are_linear_in_the_ring_order(pure_backend):
+    # 2**22 elements: the division form takes seconds here.
+    start = time.perf_counter()
+    lanes = kernels._zero_lanes((2,) * 22)
+    assert time.perf_counter() - start < 1
+    assert [lane[1].bit_count() for lane in lanes] == [1 << 21] * 22
 
 
 # Runs one product-ring kernel call on thirty Zn(2), whose zero lanes

@@ -186,6 +186,25 @@ def test_ordered_map_takes_a_range_longer_than_a_machine_word(monkeypatch, jobs)
     out.close()
 
 
+def test_verify_with_two_jobs_submits_chunks_to_a_pool(monkeypatch, capsys):
+    """verify --max 600 is three chunks of rings, so two jobs start a real
+    pool, and its bytes are those of one job."""
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    assert zeroprod.cli.main(["verify", "--max", "600", "--jobs", "1"]) == 0
+    one = capsys.readouterr()
+    chunks = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            chunks.append(len(args[-1]))
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    assert zeroprod.cli.main(["verify", "--max", "600", "--jobs", "2"]) == 0
+    assert capsys.readouterr() == one
+    assert chunks == [256, 256, 87]
+
+
 def test_passing_verify_builds_no_fraction(monkeypatch):
     """The oracle legs are compared as integer counts."""
     counts = _count_calls(monkeypatch, [verify.Fraction, arith.rat_make])

@@ -9,8 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from zeroprod.cli import _SCAN_HEADER, _SCAN_LINE, main
+from zeroprod.cli import (
+    _SCAN_CSV_HEADER,
+    _SCAN_HEADER,
+    _SCAN_LINE,
+    _csv_cell,
+    _scan_csv_line,
+    _scan_record,
+    _scan_table_line,
+    main,
+)
 from zeroprod.factor import factorization_str, factorize
+from zeroprod.scan import scan_row
 
 
 def _decimal(q, digits):
@@ -112,3 +122,21 @@ def test_scan_rows_equal_fraction_derivation(capsys, lo, hi):
             f"scanned {len(records)} rings: min P = {low['p']} at n = {low['n']}, "
             f"max P = {high['p']} at n = {high['n']}"
         )
+
+
+@pytest.mark.parametrize("n", [2, 2**61 - 1, 2**64 - 2, 2**64 - 1])
+@pytest.mark.parametrize("digits", [0, 6, 4300])
+def test_row_templates_equal_the_record_renderings(n, digits):
+    """The CSV template writes what csv.writer writes of the record's
+    cells, and the table template what _SCAN_LINE makes of the record."""
+    row = scan_row(n)
+    record = _scan_record(row, digits)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(record)
+    writer.writerow(_csv_cell(v) for v in record.values())
+    assert _SCAN_CSV_HEADER + _scan_csv_line(row, digits) == out.getvalue()
+    maxann = "-" if record["maxann"] is None else record["maxann"]
+    holds = "yes" if record["bounds_hold"] else "NO"
+    table = _SCAN_LINE.format(**{**record, "maxann": maxann, "bounds_hold": holds})
+    assert _scan_table_line(row, digits) == table + "\n"
