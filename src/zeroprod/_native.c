@@ -14,7 +14,8 @@
  *       kernels._ann_pair_count_mixed_py for more;
  *   graph_edges(moduli, indices) -- kernels._graph_edges_zn_py and
  *       kernels._graph_edges_mixed_py, on the vertices' odometer indices
- *       (for Z_n, the elements themselves).
+ *       (for Z_n, the elements themselves), which must ascend strictly
+ *       (ValueError otherwise) on both backends.
  * Z_n pairs run 16 rows side by side as running residues x*y mod n, with
  * no division in the loop; a product ring ANDs one bitset per digit, 64
  * pairs per word.  Arguments of the first three must fit 64 bits
@@ -22,8 +23,10 @@
  * products in 128 bits, so no step wraps.  The pair kernels take moduli
  * >= 1 whose product, the ring order, is below 2**31 (OverflowError
  * otherwise), so a residue plus an element fits 32 bits.  kernels.py
- * checks all of this before it calls.  The loops run without
- * the GIL, and a signal such as Ctrl-C ends them between slices of work.
+ * checks the ranges before it calls: n for Z_n, and for a product ring
+ * the lane limit, which no ring of order 2**31 or more passes.  The
+ * loops run without the GIL, and a signal such as Ctrl-C ends them
+ * between slices of work.
  * kernels.py builds this file with gcc -O2 -shared -fPIC -I<Python
  * include directory>.
  */
@@ -177,12 +180,10 @@ typedef struct {
     size_t lanes; /* the sum of the moduli */
 } ring;
 
-/* Vertices by odometer index: idx in argument order; val ascending, and
- * at[k] the argument position of val[k] (at is NULL and val is idx when
- * the argument ascends). */
+/* Vertices by odometer index, strictly ascending. */
 typedef struct {
     Py_ssize_t m;
-    uint32_t *idx, *val, *at;
+    uint32_t *idx;
 } vertices;
 
 /* Index pairs (i, j), grown with realloc, so without the GIL. */
@@ -207,20 +208,18 @@ static int push(pairs *e, uint32_t i, uint32_t j)
     return 0;
 }
 
-/* The argument position of vertex y, or -1 when y is no vertex. */
+/* The position of vertex y, or -1 when y is no vertex. */
 static int64_t position(const vertices *v, uint32_t y)
 {
     Py_ssize_t lo = 0, hi = v->m;
     while (lo < hi) {
         Py_ssize_t mid = lo + (hi - lo) / 2;
-        if (v->val[mid] < y)
+        if (v->idx[mid] < y)
             lo = mid + 1;
         else
             hi = mid;
     }
-    if (lo == v->m || v->val[lo] != y)
-        return -1;
-    return v->at ? v->at[lo] : lo;
+    return lo < v->m && v->idx[lo] == y ? lo : -1;
 }
 
 /* Takes the GIL, runs pending signal handlers and releases it again;
@@ -321,16 +320,15 @@ static int zn_pair_count(uint32_t n, uint64_t *count, PyThreadState **save)
     return 1;
 }
 
-/* Edges of Z_n among the vertices v: rows i0 .. i0 + 15 (argument order)
- * run side by side over the columns past row i0 (from 0 when v does not
- * ascend), and a column where some row's product is 0 is kept for row i
- * when it is a vertex at a position j > i.  A block's
- * edges are gathered in column order, then appended row by row, so they
- * come in ascending (i, j) order when v ascends.  Returns -1 when memory
- * ran out, 0 when a signal handler raised and 1 when done. */
+/* Edges of Z_n among the vertices v: rows i0 .. i0 + 15 run side by
+ * side over the columns past row i0, and a column where some row's
+ * product is 0 is kept for row i when it is a vertex at a position
+ * j > i.  A block's edges are gathered in column order, then appended
+ * row by row, so they come in ascending (i, j) order.  Returns -1 when
+ * memory ran out, 0 when a signal handler raised and 1 when done. */
 static int zn_graph_edges(uint32_t n, const vertices *v, pairs *e, PyThreadState **save)
 {
-    uint32_t x[LANES], r[LANES], top = v->val[v->m - 1];
+    uint32_t x[LANES], r[LANES], top = v->idx[v->m - 1];
     uint64_t budget = SLICE;
     pairs block = {NULL, 0, 0};
     int done = 1;
@@ -338,7 +336,7 @@ static int zn_graph_edges(uint32_t n, const vertices *v, pairs *e, PyThreadState
         uint32_t live = v->m - i0 < LANES ? (uint32_t)(v->m - i0) : LANES;
         for (uint32_t k = 0; k < LANES; k++)
             x[k] = v->idx[i0 + (k < live ? k : 0)];
-        uint32_t y = v->at ? 0 : x[0] + 1;
+        uint32_t y = x[0] + 1;
         for (uint32_t k = 0; k < LANES; k++)
             r[k] = (uint32_t)((uint64_t)x[k] * y % n);
         block.len = 0;
@@ -461,11 +459,10 @@ static int mixed_pair_count(const ring *g, uint64_t *count, PyThreadState **save
 }
 
 /* Edges of a product ring among the vertices v: row i ANDs the lanes of
- * vertex i with the vertex set and reads the set bits past its own index
- * (all of them when v does not ascend), keeping those at a position
- * j > i, so the edges come in ascending (i, j) order when v ascends.
- * Returns -1 when memory ran out, 0 when a signal handler raised and 1
- * when done. */
+ * vertex i with the vertex set and reads the set bits past its own
+ * index, each the index of a vertex at a position j > i, so the edges
+ * come in ascending (i, j) order.  Returns -1 when memory ran out, 0
+ * when a signal handler raised and 1 when done. */
 static int mixed_graph_edges(const ring *g, const vertices *v, pairs *e, PyThreadState **save)
 {
     size_t words = (g->order + 63) / 64;
@@ -476,7 +473,7 @@ static int mixed_graph_edges(const ring *g, const vertices *v, pairs *e, PyThrea
     for (Py_ssize_t k = 0; done == 1 && k < v->m; k++)
         verts[v->idx[k] / 64] |= (uint64_t)1 << (v->idx[k] % 64);
     for (Py_ssize_t i = 0; done == 1 && i < v->m; i++) {
-        uint64_t from = v->at ? 0 : (uint64_t)v->idx[i] + 1;
+        uint64_t from = (uint64_t)v->idx[i] + 1;
         lanes_of(g, bits, words, v->idx[i], row);
         for (size_t w = from / 64; done == 1 && w < words; w++) {
             uint64_t acc = verts[w];
@@ -484,11 +481,9 @@ static int mixed_graph_edges(const ring *g, const vertices *v, pairs *e, PyThrea
                 acc &= row[t][w];
             if (w == from / 64)
                 acc &= ~(uint64_t)0 << (from % 64);
-            for (; acc; acc &= acc - 1) {
-                int64_t j = position(v, (uint32_t)(w * 64 + __builtin_ctzll(acc)));
-                if (j > i && push(e, (uint32_t)i, (uint32_t)j))
+            for (; acc; acc &= acc - 1)
+                if (push(e, (uint32_t)i, (uint32_t)position(v, w * 64 + __builtin_ctzll(acc))))
                     done = -1;
-            }
         }
         uint64_t work = words * g->r;
         budget = budget > work ? budget - work : 0;
@@ -598,13 +593,7 @@ static int read_ring(PyObject *moduli, ring *g)
     return ok ? 0 : -1;
 }
 
-static int by_value(const void *a, const void *b)
-{
-    uint64_t u = *(const uint64_t *)a, w = *(const uint64_t *)b;
-    return (u > w) - (u < w);
-}
-
-/* indices: a sequence of distinct ints in [0, order). */
+/* indices: a sequence of strictly ascending ints in [0, order). */
 static int read_vertices(PyObject *indices, uint32_t order, vertices *v)
 {
     PyObject *seq = PySequence_Fast(indices, "indices must be a sequence");
@@ -612,9 +601,7 @@ static int read_vertices(PyObject *indices, uint32_t order, vertices *v)
         return -1;
     v->m = PySequence_Fast_GET_SIZE(seq);
     v->idx = malloc((v->m ? v->m : 1) * sizeof *v->idx);
-    v->val = v->idx;
-    v->at = NULL;
-    int ok = v->idx != NULL, ascending = 1;
+    int ok = v->idx != NULL;
     if (!ok)
         PyErr_NoMemory();
     for (Py_ssize_t k = 0; ok && k < v->m; k++) {
@@ -624,44 +611,14 @@ static int read_vertices(PyObject *indices, uint32_t order, vertices *v)
         else if (b >= order) {
             PyErr_SetString(PyExc_ValueError, "indices must be below the ring order");
             ok = 0;
-        } else {
+        } else if (k && b <= v->idx[k - 1]) {
+            PyErr_SetString(PyExc_ValueError, "vertices must ascend strictly");
+            ok = 0;
+        } else
             v->idx[k] = (uint32_t)b;
-            ascending &= k == 0 || v->idx[k - 1] < v->idx[k];
-        }
     }
     Py_DECREF(seq);
-    if (!ok || ascending)
-        return ok ? 0 : -1;
-    /* Sort (index, position) pairs for the binary search of position(). */
-    uint64_t *sorted = malloc(v->m * sizeof *sorted);
-    v->val = malloc(v->m * sizeof *v->val);
-    v->at = malloc(v->m * sizeof *v->at);
-    if (sorted == NULL || v->val == NULL || v->at == NULL) {
-        PyErr_NoMemory();
-        ok = 0;
-    }
-    for (Py_ssize_t k = 0; ok && k < v->m; k++)
-        sorted[k] = (uint64_t)v->idx[k] << 32 | (uint64_t)k;
-    if (ok)
-        qsort(sorted, v->m, sizeof *sorted, by_value);
-    for (Py_ssize_t k = 0; ok && k < v->m; k++) {
-        v->val[k] = (uint32_t)(sorted[k] >> 32);
-        v->at[k] = (uint32_t)sorted[k];
-        if (k && v->val[k - 1] == v->val[k]) {
-            PyErr_SetString(PyExc_ValueError, "indices must be distinct");
-            ok = 0;
-        }
-    }
-    free(sorted);
     return ok ? 0 : -1;
-}
-
-static void free_vertices(vertices *v)
-{
-    if (v->val != v->idx)
-        free(v->val);
-    free(v->idx);
-    free(v->at);
 }
 
 /* pair_count(moduli): ordered pairs (x, y) of the ring with x*y = 0.  The
@@ -722,7 +679,7 @@ static PyObject *edge_list(const pairs *e, Py_ssize_t m)
 static PyObject *graph_edges(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     ring g = {0, NULL, 0, 0};
-    vertices v = {0, NULL, NULL, NULL};
+    vertices v = {0, NULL};
     pairs e = {NULL, 0, 0};
     PyObject *list = NULL;
     int done = 1;
@@ -744,7 +701,7 @@ static PyObject *graph_edges(PyObject *self, PyObject *const *args, Py_ssize_t n
         list = edge_list(&e, v.m);
 out:
     free(g.mods);
-    free_vertices(&v);
+    free(v.idx);
     free(e.ij);
     return list;
 }

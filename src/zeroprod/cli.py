@@ -218,6 +218,13 @@ def _scan_csv_line(row, digits: int) -> str:
     )
 
 
+def _scan_json_item(row, digits: int) -> str:
+    """One item of the ``rows`` array of ``scan --format json``, indented
+    to its depth in the whole document."""
+    text = json.dumps(_scan_record(row, digits), indent=2, sort_keys=True)
+    return "    " + text.replace("\n", "\n    ")
+
+
 def _scan_table_line(row, digits: int) -> str:
     return _SCAN_LINE.format(
         n=row.n,
@@ -241,18 +248,17 @@ def _cmd_scan(args, parser) -> int:
     if args.lo < 2 or args.lo > args.hi:
         parser.error(f"need 2 <= LO <= HI, got {args.lo} {args.hi}")
     rows = scan_rows(args.lo, args.hi)
-    records = []
-    render, write = {
-        "json": (_scan_record, records.append),
-        "csv": (_scan_csv_line, sys.stdout.write),
-        "table": (_scan_table_line, sys.stdout.write),
+    head, render = {
+        "json": ('{\n  "rows": [\n', _scan_json_item),
+        "csv": (_SCAN_CSV_HEADER, _scan_csv_line),
+        "table": (_SCAN_HEADER + "\n", _scan_table_line),
     }[args.format]
-    if args.format == "csv":
-        write(_SCAN_CSV_HEADER)
-    elif args.format == "table":
-        print(_SCAN_HEADER)
+    write = sys.stdout.write
+    write(head)
     all_hold, min_row, max_row = True, None, None
     for count, row in enumerate(rows, 1):
+        if count > 1 and args.format == "json":
+            write(",\n")
         write(render(row, args.digits))
         all_hold &= row.bounds_hold
         # min and max keep the earlier row on ties, so the lowest such n.
@@ -268,7 +274,8 @@ def _cmd_scan(args, parser) -> int:
             rows=count, min_p=min_p, min_n=min_row.n, max_p=max_p, max_n=max_row.n,
             all_bounds_hold=all_hold,
         )
-        print(json.dumps({"rows": records, "summary": summary}, indent=2, sort_keys=True))
+        summary_text = json.dumps(summary, indent=2, sort_keys=True).replace("\n", "\n  ")
+        print(f'\n  ],\n  "summary": {summary_text}\n}}')
     elif args.format == "table":
         print(
             f"scanned {count} rings: min P = {min_p} at n = {min_row.n}, "

@@ -22,19 +22,20 @@ product.  Miller-Rabin (:func:`is_prime`) and Brent's rho
 Five kernels have a compiled form, in ``_native.c``: Monte Carlo,
 Brent's rho and Miller-Rabin, whose every step is a few big-integer
 operations, and the pair count and graph edges, of Z_n and of product
-rings.  There the Z_n kernels
-run 16 rows side by side as running residues x*y mod n, and the
-product-ring kernels AND the same zero lanes as here, in 64-bit words.
-This module is their only dispatch point.  A call runs the compiled
-form when its arguments fit (n, samples and seed below 2**64 for Monte
-Carlo; n, c and x0 for rho; n for Miller-Rabin; a ring order below
-2**31 for the pair kernels) and the library exists; otherwise it runs
-the pure form, which takes arbitrary-precision integers and returns the
-same values.  Either form of a product-ring kernel holds (sum of the
-moduli) zero lanes of ceil(order/64) words; a call whose lanes would
-take more than 2**28 bytes raises ``ResourceLimitError`` before
-anything is allocated.  The extension module is built once per machine and
-Python, by the first import that finds it missing, into
+rings.  There the Z_n kernels run 16 rows side by side as running
+residues x*y mod n, and the product-ring kernels AND the same zero
+lanes as here, in 64-bit words.  This module is their only dispatch
+point.  A call runs the compiled form when its arguments fit (n,
+samples and seed below 2**64 for Monte Carlo; n, c and x0 for rho; n
+for Miller-Rabin; n below 2**31 for the Z_n pair kernels) and the
+library exists; otherwise it runs the pure form, which takes
+arbitrary-precision integers and returns the same values.  Either form
+of a product-ring kernel holds (sum of the moduli) zero lanes of
+ceil(order/64) words; a call whose lanes would take more than 2**28
+bytes raises ``ResourceLimitError`` before anything is allocated.  Every
+ring that limit admits has an order below 2**31, so the compiled form
+runs whenever the library exists.  The extension module is built once
+per machine and Python, by the first import that finds it missing, into
 ``__pycache__/_native-<crc32 of the source><extension suffix>`` through
 an atomic rename; a request never starts a compiler.  It is loaded at
 the first compiled call, so a process that runs none of these kernels
@@ -43,9 +44,10 @@ never loads it.  ``ZEROPROD_BACKEND=python`` selects the pure forms;
 
 Callers reach a ring's kernels through three entries that take its
 tuple of moduli: :func:`pair_count` and :func:`graph_edges` pick the
-Z_n kernel for one modulus and the product-ring kernel for more, and :func:`ann_size_histogram_mixed` takes Z_n as a one-modulus
-product.  Callers use the module attribute (``kernels.pair_count``), and
-the entries look their kernels up as module globals at call time, so a
+Z_n kernel for one modulus and the product-ring kernel for more, and
+:func:`ann_size_histogram_mixed` takes Z_n as a one-modulus product.
+Callers use the module attribute (``kernels.pair_count``), and the
+entries look their kernels up as module globals at call time, so a
 kernel rebound on this module is the one that runs.
 """
 
@@ -59,7 +61,7 @@ from functools import reduce
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import compress, product, repeat
 from math import gcd, isqrt, prod
-from operator import and_, countOf, getitem, mod, mul, not_
+from operator import and_, countOf, ge, getitem, mod, mul, not_
 from struct import Struct
 
 from zeroprod.arith import histogram_product
@@ -244,17 +246,11 @@ def _multiples_table(n: int) -> bytes:
     return (b"\1" + bytes(n - 1)) * max(2, min(_TABLE_BYTES // n, n // 4 + 2))
 
 
-def _fits_pairs(mods: tuple[int, ...]) -> bool:
-    """The gate of the compiled pair kernels: every modulus >= 1 and the
-    ring order below 2**31, so a residue below n plus an element below n
-    cannot wrap their 32-bit lanes."""
-    return all(m > 0 for m in mods) and prod(mods) < _PAIR_LIMIT
-
-
 def ann_pair_count_zn(n: int) -> int:
     """Ordered pairs (x, y) in Z_n^2 with x*y = 0, by full enumeration.
-    The compiled form runs when 1 <= n < 2**31."""
-    if _fits_pairs((n,)) and (native := _compiled()) is not None:
+    The compiled form runs when 1 <= n < 2**31, so a residue below n plus
+    an element below n cannot wrap its 32-bit lanes."""
+    if 0 < n < _PAIR_LIMIT and (native := _compiled()) is not None:
         return native.pair_count((n,))
     return _ann_pair_count_zn_py(n)
 
@@ -281,8 +277,9 @@ def _ann_pair_count_zn_py(n: int) -> int:
 def _require_lanes(mods: tuple[int, ...]) -> None:
     """Refuse a product ring whose zero lanes would take more than
     _LANE_BYTES: (sum of the moduli) lanes of ceil(order/64) 64-bit
-    words, on either backend.  The compiled branches and the pure forms'
-    :func:`_zero_lanes` call it before any lane is allocated."""
+    words, on either backend.  The product-ring entries call it first,
+    before either form allocates a lane.  Two or more moduli sum to at
+    least 2, so it refuses every such ring of order 2**31 or more."""
     lane_bytes = sum(mods) * -(-prod(mods) // 64) * 8
     if lane_bytes > _LANE_BYTES:
         raise ResourceLimitError(
@@ -318,7 +315,6 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
     times 2**stride_t - 1, fills their blocks within one period, and
     :func:`_repeat` lifts the period to the whole index range.
     """
-    _require_lanes(mods)
     total = prod(mods)
     lanes = []
     stride = total
@@ -336,9 +332,9 @@ def _zero_lanes(mods: tuple[int, ...]) -> list[list[int]]:
 
 def ann_pair_count_mixed(mods: tuple[int, ...]) -> int:
     """Ordered zero-product pairs in a product of Z_m rings, enumerated.
-    The compiled form runs when the ring order is below 2**31."""
-    if _fits_pairs(mods) and (native := _compiled()) is not None:
-        _require_lanes(mods)
+    The compiled form runs whenever the lane limit admits the ring."""
+    _require_lanes(mods)
+    if (native := _compiled()) is not None:
         return native.pair_count(mods)
     return _ann_pair_count_mixed_py(mods)
 
@@ -355,10 +351,10 @@ def _ann_pair_count_mixed_py(mods: tuple[int, ...]) -> int:
 def graph_edges_zn(n: int, verts: list[int]) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in Z_n.
 
-    The vertices must be nonzero and strictly ascending.  The compiled
-    form runs when 1 <= n < 2**31.
+    The vertices must be nonzero and strictly ascending (``ValueError``
+    otherwise).  The compiled form runs when 1 <= n < 2**31.
     """
-    if _fits_pairs((n,)) and (native := _compiled()) is not None:
+    if 0 < n < _PAIR_LIMIT and (native := _compiled()) is not None:
         return native.graph_edges((n,), verts)
     return _graph_edges_zn_py(n, verts)
 
@@ -369,6 +365,8 @@ def _graph_edges_zn_py(n: int, verts: list[int]) -> list[tuple[int, int]]:
     and keeps the hits that are vertices, so pairs come in ascending
     (i, j) order.
     """
+    if any(map(ge, verts, verts[1:])):
+        raise ValueError("vertices must ascend strictly")
     table = _multiples_table(n)
     reach = len(table) - n
     vertex_at = {v: i for i, v in enumerate(verts)}
@@ -394,30 +392,18 @@ def _odometer_indices(mods: tuple[int, ...], verts: list[tuple[int, ...]]) -> li
     return [sum(map(mul, v, strides)) for v in verts]
 
 
-def graph_edges_mixed(
-    mods: tuple[int, ...], verts: list[tuple[int, ...]]
-) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in the
-    product of Z_m rings; vertices are distinct digit tuples, one digit
-    per modulus.  Pairs come in ascending (i, j) order when verts ascend.
-    The compiled form runs when the ring order is below 2**31.
-    """
-    if _fits_pairs(mods) and (native := _compiled()) is not None:
-        _require_lanes(mods)
-        return native.graph_edges(mods, _odometer_indices(mods, verts))
-    return _graph_edges_mixed_py(mods, verts)
-
-
 def _graph_edges_mixed_py(
     mods: tuple[int, ...], verts: list[tuple[int, ...]]
 ) -> list[tuple[int, int]]:
-    """Pure :func:`graph_edges_mixed`.
+    """Pure :func:`graph_edges` of a product ring.
 
     Row i ANDs the zero-product lanes of verts[i] with the bitset of the
     vertices after it, so each edge is read out once, at its first end.
     """
-    lanes = _zero_lanes(mods)
     index = _odometer_indices(mods, verts)
+    if any(map(ge, index, index[1:])):
+        raise ValueError("vertices must ascend strictly")
+    lanes = _zero_lanes(mods)
     vertex_at = {p: i for i, p in enumerate(index)}
     later = 0
     for p in index:
@@ -443,10 +429,14 @@ def pair_count(mods: tuple[int, ...]) -> int:
 def graph_edges(mods: tuple[int, ...], verts: list) -> list[tuple[int, int]]:
     """Index pairs (i, j), i < j, with verts[i]*verts[j] = 0 in
     Z_{m1} x ... x Z_{mr}, ascending; verts are nonzero, strictly
-    ascending elements: ints for one modulus, digit tuples for more."""
+    ascending elements (``ValueError`` otherwise): ints for one modulus,
+    digit tuples for more."""
     if len(mods) == 1:
         return graph_edges_zn(mods[0], verts)
-    return graph_edges_mixed(mods, verts)
+    _require_lanes(mods)
+    if (native := _compiled()) is not None:
+        return native.graph_edges(mods, _odometer_indices(mods, verts))
+    return _graph_edges_mixed_py(mods, verts)
 
 
 def _splitmix64_blocks(seed: int, width: int, n: int):

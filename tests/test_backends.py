@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import zeroprod
 from zeroprod import kernels
+from zeroprod.errors import ResourceLimitError
 from zeroprod.factor import is_prime
 
 _MASK = (1 << 64) - 1
@@ -214,15 +215,27 @@ def test_pair_backends_agree_near_the_pair_cap(native_kernels, mods, seed):
     _pairs_both(native_kernels, mods, subset)
 
 
-def test_graph_backends_agree_on_vertices_in_any_order(native_kernels):
-    # The product-ring kernels take the vertices in any order; edges
-    # (i, j) then have i < j by position, row by row in index order.
+def _graph_edges_py(mods, verts):
+    if len(mods) == 1:
+        return kernels._graph_edges_zn_py(mods[0], verts)
+    return kernels._graph_edges_mixed_py(mods, verts)
+
+
+def test_graph_backends_refuse_vertices_out_of_order(native_kernels):
+    # Both forms take strictly ascending vertices only, so neither can
+    # give edges that the other orders differently.
     rng = random.Random(12)
+    cases = [((12,), [6, 4]), ((12,), [4, 4]), ((4, 6), [(1, 0), (1, 0)])]
     for mods in ((12,), (4, 6), (2, 3, 4)):
         verts = [v for v in itertools.product(*map(range, mods)) if any(v)]
-        rng.shuffle(verts)
-        index = kernels._odometer_indices(mods, verts)
-        assert native_kernels.graph_edges(mods, index) == kernels._graph_edges_mixed_py(mods, verts)
+        verts = [x for (x,) in verts] if len(mods) == 1 else verts
+        cases += [(mods, rng.sample(verts, len(verts))), (mods, verts[::-1])]
+    for mods, verts in cases:
+        index = verts if len(mods) == 1 else kernels._odometer_indices(mods, verts)
+        with pytest.raises(ValueError, match="ascend strictly"):
+            native_kernels.graph_edges(mods, index)
+        with pytest.raises(ValueError, match="ascend strictly"):
+            _graph_edges_py(mods, verts)
 
 
 def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypatch):
@@ -239,12 +252,16 @@ def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypat
     kernels.brent_rho(15, 1 << 64)
     kernels.is_prime(1 << 64)
     kernels.is_prime(-1)
-    # The pair kernels keep the pure form from ring order 2**31 on.
+    # The Z_n pair kernels keep the pure form from n = 2**31 on; the lane
+    # limit refuses a product ring of that order before either form runs.
     kernels.ann_pair_count_zn(1 << 31)
-    kernels.ann_pair_count_mixed((1 << 16, 1 << 15))
-    kernels.ann_pair_count_mixed((3, 0))
     kernels.graph_edges_zn(1 << 31, [2, 1 << 30])
-    kernels.graph_edges_mixed((2, 1 << 30), [(0, 2), (1, 0)])
+    with pytest.raises(ResourceLimitError):
+        kernels.ann_pair_count_mixed((1 << 16, 1 << 15))
+    with pytest.raises(ResourceLimitError):
+        kernels.graph_edges((2, 1 << 30), [(0, 2), (1, 0)])
+    with pytest.raises(ValueError, match="moduli must be >= 1"):
+        kernels.ann_pair_count_mixed((3, 0))
     kernels.mc_zero_pairs_zn(2**64 - 1, 10, _MASK)
     kernels.brent_rho(2**64 - 1, 1)
     assert kernels.is_prime(2**64 - 59) and not kernels.is_prime(0)
@@ -255,8 +272,7 @@ def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypat
         ["_mc_zero_pairs_py"] * 3
         + ["_brent_rho_py"] * 2
         + ["_is_prime_py"] * 2
-        + ["_ann_pair_count_zn_py", "_ann_pair_count_mixed_py", "_ann_pair_count_mixed_py"]
-        + ["_graph_edges_zn_py", "_graph_edges_mixed_py"]
+        + ["_ann_pair_count_zn_py", "_graph_edges_zn_py"]
     )
 
 
@@ -315,7 +331,7 @@ _LONG_CALLS = [
     "ann_pair_count_zn(2**31 - 1)",
     "ann_pair_count_mixed((2,) * 20)",
     "graph_edges_zn(2**31 - 1, list(range(1, 1 << 20)))",
-    "graph_edges_mixed((3,) * 13, units)",
+    "graph_edges((3,) * 13, units)",
 ]
 
 
@@ -376,7 +392,8 @@ def _benchmark_requests():
     montecarlo request, drawn as the benchmark draws them, prob of a
     prime, a strong pseudoprime and a Carmichael number, paranoid prob
     and graph requests the size of the enum-kernels ones, a CSV scan at
-    the 2**64 edge and a verify split across a pool."""
+    the 2**64 edge, a JSON scan the size of a scan-range window and a
+    verify split across a pool."""
     rng = random.Random(801)
     semi = _random_prime(rng, 32) * _random_prime(rng, 32)
     prime = _random_prime(rng, 63)
@@ -399,6 +416,7 @@ def _benchmark_requests():
         ["graph", "3610"],
         ["graph", "--ring", "Zn(12)xZn(10)xZn(9)"],
         ["scan", "18446744073709551416", "18446744073709551615", "--format", "csv"],
+        ["scan", "30000", "30023", "--format", "json"],
         ["verify", "--max", "600", "--jobs", "2"],
     ]
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -10,8 +11,11 @@ from collections import Counter
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zeroprod import kernels
+from zeroprod.errors import ResourceLimitError
 
 _MASK = (1 << 64) - 1
 
@@ -154,10 +158,12 @@ def test_pair_count_mixed_factorizes_over_components(mods):
 @pytest.mark.parametrize("mods", [(4, 6), (2, 3, 4), (8, 2, 2), (9, 10), (12,)])
 def test_graph_edges_mixed_against_oracle(mods):
     verts = [v for v in itertools.product(*(range(m) for m in mods)) if any(v)]
-    assert kernels.graph_edges_mixed(mods, verts) == _brute_edges(mods, verts)
-    shuffled = random.Random(len(verts)).sample(verts, len(verts))
-    got = kernels.graph_edges_mixed(mods, shuffled)
-    assert sorted(got) == _brute_edges(mods, shuffled)
+    # One modulus takes its elements as ints, not as one-digit tuples.
+    elements = [x for (x,) in verts] if len(mods) == 1 else verts
+    assert kernels.graph_edges(mods, elements) == _brute_edges(mods, verts)
+    shuffled = random.Random(len(verts)).sample(elements, len(elements))
+    with pytest.raises(ValueError, match="ascend strictly"):
+        kernels.graph_edges(mods, shuffled)
 
 
 def _division_lanes(mods):
@@ -191,6 +197,8 @@ def test_zero_lanes_are_linear_in_the_ring_order(pure_backend):
 # Runs one product-ring kernel call on thirty Zn(2), whose zero lanes
 # would take 60 * 2**24 words = 8 GB, in a process that may map at most
 # 1 GiB: a kernel that allocated its lanes first would end in MemoryError.
+# Only the entries check the lanes, before they pick a form, so the probe
+# runs them on both backends.
 _LANE_PROBE = """
 import resource, sys
 from zeroprod import kernels
@@ -207,23 +215,39 @@ except ResourceLimitError as exc:
 
 
 @pytest.mark.parametrize(
-    "call",
-    [
-        "kernels.ann_pair_count_mixed(mods)",
-        "kernels.graph_edges_mixed(mods, verts)",
-        "kernels._ann_pair_count_mixed_py(mods)",
-        "kernels._graph_edges_mixed_py(mods, verts)",
-    ],
+    "call", ["kernels.ann_pair_count_mixed(mods)", "kernels.graph_edges(mods, verts)"]
 )
 def test_product_kernels_refuse_lanes_above_the_limit(call):
-    done = subprocess.run(
-        [sys.executable, "-c", _LANE_PROBE.format(call)],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert (done.returncode, done.stdout) == (3, ""), done.stderr
-    assert "lane-memory limit of 268435456 bytes" in done.stderr
+    env = {k: v for k, v in os.environ.items() if k != "ZEROPROD_BACKEND"}
+    for backend in ({}, {"ZEROPROD_BACKEND": "python"}):
+        done = subprocess.run(
+            [sys.executable, "-c", _LANE_PROBE.format(call)],
+            capture_output=True,
+            text=True,
+            env={**env, **backend},
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (3, ""), (backend, done.stderr)
+        assert "lane-memory limit of 268435456 bytes" in done.stderr, backend
+
+
+@st.composite
+def _product_rings_of_order_2_31_or_more(draw):
+    """Two or more moduli >= 1 whose product is at least 2**31, the last
+    one the smallest that gets there or a little more."""
+    mods = draw(st.lists(st.integers(1, 1 << 16), min_size=1, max_size=6))
+    least = -(-(1 << 31) // prod(mods))
+    return (*mods, least + draw(st.integers(0, 3)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(mods=_product_rings_of_order_2_31_or_more())
+def test_lane_limit_refuses_every_product_ring_of_order_2_31_or_more(mods):
+    # So no product ring reaches a compiled kernel with an order that
+    # could wrap its 32-bit arithmetic: the lane limit decides first.
+    assert len(mods) >= 2 and min(mods) >= 1 and prod(mods) >= 1 << 31
+    with pytest.raises(ResourceLimitError):
+        kernels._require_lanes(mods)
 
 
 def test_lane_limit_admits_every_default_cap_product():

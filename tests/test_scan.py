@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -140,3 +142,39 @@ def test_row_templates_equal_the_record_renderings(n, digits):
     holds = "yes" if record["bounds_hold"] else "NO"
     table = _SCAN_LINE.format(**{**record, "maxann": maxann, "bounds_hold": holds})
     assert _scan_table_line(row, digits) == table + "\n"
+
+
+@pytest.mark.parametrize("lo,hi", [(7, 7), (2, 300), (2**64 - 50, 2**64 - 1)])
+def test_streamed_json_equals_one_dump_of_the_document(capsys, lo, hi):
+    """The rows are written one at a time, yet the bytes are those of one
+    ``json.dumps`` of the whole document."""
+    out = _run(capsys, "scan", str(lo), str(hi), "--format", "json")
+    rows = [_scan_record(scan_row(n), 6) for n in range(lo, hi + 1)]
+    document = {"rows": rows, "summary": json.loads(out)["summary"]}
+    assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# Scans 30,001 rings as JSON with stdout sent to /dev/null, then prints
+# its exit code and its peak resident size in KiB.  The peak is VmHWM,
+# which starts afresh at exec; ru_maxrss would also hold the peak of the
+# test process that forked it.
+_JSON_SCAN_RSS = """
+import contextlib, os
+from zeroprod import cli
+with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+    code = cli.main(["scan", "1000000", "1030000", "--format", "json"])
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, peak)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_json_scan_memory_does_not_grow_with_the_range():
+    # Holding every row's record until the end takes 94 MB for this range.
+    done = subprocess.run(
+        [sys.executable, "-c", _JSON_SCAN_RSS], capture_output=True, text=True, timeout=300
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak_kib < 40 * 1024
