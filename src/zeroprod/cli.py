@@ -13,7 +13,6 @@ explicit --cap wins over the environment.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -116,26 +115,21 @@ def _target_spec(args, parser: argparse.ArgumentParser) -> RingSpec:
     return Zn(args.n)
 
 
-def _csv_cell(value):
+def _csv_cell(value) -> str:
     """A CSV or table cell: booleans as true/false, None as empty."""
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 def _emit_record(record: dict, fmt: str, out) -> None:
-    """One logical record as aligned text, JSON, or a single CSV row."""
+    """One logical record as aligned text, JSON, or a single CSV row.  No
+    CSV cell needs quoting: none holds a comma, a quote or a newline."""
     if fmt == "json":
         print(json.dumps(record, indent=2, sort_keys=True), file=out)
         return
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(record.keys())
-        writer.writerow(_csv_cell(v) for v in record.values())
+        out.write(",".join(record) + "\n" + ",".join(map(_csv_cell, record.values())) + "\n")
         return
     width = max(len(k) for k in record)
     for key, value in record.items():

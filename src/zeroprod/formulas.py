@@ -38,12 +38,16 @@ GLOBAL_CAP = Fraction(3, 4)
 _ZERO_RING = "n = 1 is the zero ring, which is exempt from the probability bounds"
 
 
-def p_zpk(p: int, k: int) -> Fraction:
-    """Exact P(Z_{p^k}) = ((k+1)p - k) / p^(k+1) for prime p, k >= 1."""
+def _validate_zpk(p: int, k: int) -> None:
     if not is_prime(as_natural(p, "p")):
         raise InvalidInputError(f"p must be prime, got {p}")
     if as_natural(k, "k") < 1:
         raise InvalidInputError("exponent k must be >= 1")
+
+
+def p_zpk(p: int, k: int) -> Fraction:
+    """Exact P(Z_{p^k}) = ((k+1)p - k) / p^(k+1) for prime p, k >= 1."""
+    _validate_zpk(p, k)
     return Fraction(*p_zn_ratio([(p, k)]))
 
 
@@ -128,8 +132,7 @@ def upper_bound(l: int, zcount: int, m: int) -> Fraction:
 
 def p_integral_domain(l: int) -> Fraction:
     """Exact value (2l - 1) / l^2 when the ring has no zero-divisors."""
-    if as_natural(l, "l") < 2:
-        raise InvalidInputError("ring order l must be >= 2")
+    _validate_l_k(l, 0)
     return rat_make(2 * l - 1, l * l)
 
 
@@ -144,8 +147,7 @@ def p_uniform_ann(l: int, zcount: int, m: int) -> Fraction:
 
 def refined_cap(l: int) -> Fraction:
     """1/2 + 1/l^2, the order-sensitive cap; equals 3/4 only at l = 2."""
-    if as_natural(l, "l") < 2:
-        raise InvalidInputError("ring order l must be >= 2")
+    _validate_l_k(l, 0)
     return Fraction(1, 2) + Fraction(1, l * l)
 
 
@@ -205,10 +207,7 @@ def ann_profile_zpk(p: int, k: int) -> AnnProfile:
     i = 0 and the nonzero zero-divisors at i = 1..k-1.  The zero element
     accounts for the whole ring.
     """
-    if not is_prime(as_natural(p, "p")):
-        raise InvalidInputError(f"p must be prime, got {p}")
-    if as_natural(k, "k") < 1:
-        raise InvalidInputError("exponent k must be >= 1")
+    _validate_zpk(p, k)
     return AnnProfile.from_histogram(_zpk_histogram(p, k), p**k)
 
 

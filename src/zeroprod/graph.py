@@ -19,10 +19,8 @@ from per-vertex strings.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import compress, islice
-from types import SimpleNamespace
 
 from zeroprod import kernels
 from zeroprod.rings import (
@@ -123,18 +121,15 @@ def _edge_lines(g: ZeroDivisorGraph, before: list[str], after: list[str]) -> lis
     return [before[i] + after[j] for i, j in g.pairs]
 
 
-def _csv_fields(labels) -> list[str]:
-    """Each label as ``csv.writer`` writes it, quoted when it must be:
-    one row per label, with its line terminator cut off."""
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerows(zip(labels))
-    return [line[:-1] for line in lines]
+def _quoted(g: ZeroDivisorGraph) -> list[str]:
+    """Each label as DOT and CSV write it: bare when it is all digits (a
+    Z_n element), double-quoted otherwise (a product's "(a,b,...)")."""
+    return [text if text.isdigit() else f'"{text}"' for text in g.labels]
 
 
 def export_dot(g: ZeroDivisorGraph) -> str:
     """Deterministic DOT text; self-annihilators get a node attribute."""
-    ids = [text if text.isdigit() else f'"{text}"' for text in g.labels]
+    ids = _quoted(g)
     nodes = [
         f"  {d} [selfann=true];\n" if selfann else f"  {d};\n"
         for d, selfann in zip(ids, g.self_annihilating)
@@ -145,7 +140,7 @@ def export_dot(g: ZeroDivisorGraph) -> str:
 
 def export_edges_csv(g: ZeroDivisorGraph) -> str:
     """Edge list with header u,v, one row per edge, canonical order."""
-    fields = _csv_fields(g.labels)
+    fields = _quoted(g)
     edges = _edge_lines(g, [f"{f}," for f in fields], [f"{f}\n" for f in fields])
     return "".join(["u,v\n", *edges])
 
@@ -154,8 +149,6 @@ def export_vertices_csv(g: ZeroDivisorGraph) -> str:
     """Vertex table: element, annihilator size, self-annihilating flag."""
     rows = [
         f"{f},{size},{'true' if selfann else 'false'}\n"
-        for f, size, selfann in zip(
-            _csv_fields(g.labels), g.ann_sizes, g.self_annihilating
-        )
+        for f, size, selfann in zip(_quoted(g), g.ann_sizes, g.self_annihilating)
     ]
     return "".join(["element,ann_size,self_annihilating\n", *rows])

@@ -31,8 +31,9 @@ for Miller-Rabin; n below 2**31 for the Z_n pair kernels) and the
 library exists; otherwise it runs the pure form, which takes
 arbitrary-precision integers and returns the same values.  Either form
 of a product-ring kernel holds (sum of the moduli) zero lanes of
-ceil(order/64) words; a call whose lanes would take more than 2**28
-bytes raises ``ResourceLimitError`` before anything is allocated.  Every
+ceil(order/64) words.  One check runs before either form: no moduli or
+a modulus below 1 raise ``ValueError``, and lanes of more than 2**28
+bytes raise ``ResourceLimitError``, before anything is allocated.  Every
 ring that limit admits has an order below 2**31, so the compiled form
 runs whenever the library exists.  The extension module is built once
 per machine and Python, by the first import that finds it missing, into
@@ -275,11 +276,16 @@ def _ann_pair_count_zn_py(n: int) -> int:
 
 
 def _require_lanes(mods: tuple[int, ...]) -> None:
-    """Refuse a product ring whose zero lanes would take more than
-    _LANE_BYTES: (sum of the moduli) lanes of ceil(order/64) 64-bit
-    words, on either backend.  The product-ring entries call it first,
-    before either form allocates a lane.  Two or more moduli sum to at
-    least 2, so it refuses every such ring of order 2**31 or more."""
+    """Refuse no moduli or a modulus below 1, with the compiled form's
+    ``ValueError``, and zero lanes of more than _LANE_BYTES: (sum of the
+    moduli) lanes of ceil(order/64) 64-bit words.  The product-ring
+    entries call it before either form allocates a lane.  Two or more
+    moduli sum to at least 2, so it refuses every such ring of order
+    2**31 or more."""
+    if not mods:
+        raise ValueError("no moduli")
+    if min(mods) < 1:
+        raise ValueError("moduli must be >= 1")
     lane_bytes = sum(mods) * -(-prod(mods) // 64) * 8
     if lane_bytes > _LANE_BYTES:
         raise ResourceLimitError(

@@ -54,29 +54,30 @@ DEFAULT_CAPS = Caps()
 class RingSpec:
     """The ring Z_{m1} x ... x Z_{mr}, given by its moduli in order.
 
-    Z_n is the one-modulus case.  Build a ring with :func:`Zn`,
-    :func:`Product` or :func:`parse_ring`, which validate the moduli.
+    Z_n is the one-modulus case.  Every modulus must be an int >= 2:
+    modulus 1 is the zero ring (its identity equals 0), and it and the
+    smaller ones have zero-product probability 1, exempt from the
+    bounds this package computes.
     """
 
     moduli: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.moduli, tuple) or not self.moduli:
+            raise InvalidInputError(f"moduli must be a nonempty tuple, got {self.moduli!r}")
+        for m in self.moduli:
+            if as_natural(m, "modulus") < 2:
+                raise ExcludedRingError(
+                    f"Zn({m}) is excluded: the zero ring and rings without "
+                    "an identity distinct from 0 are exempt (modulus must be >= 2)"
+                )
 
     def __str__(self) -> str:
         return "x".join(f"Zn({m})" for m in self.moduli)
 
 
 def Zn(n: int) -> RingSpec:
-    """The ring of integers modulo n; requires n >= 2.
-
-    Modulus 1 would be the zero ring (its identity equals 0) and is
-    rejected, as is anything smaller: those degenerate cases have
-    zero-product probability 1 and are exempt from the bounds this
-    package computes.
-    """
-    if as_natural(n, "modulus") < 2:
-        raise ExcludedRingError(
-            f"Zn({n}) is excluded: the zero ring and rings without "
-            "an identity distinct from 0 are exempt (modulus must be >= 2)"
-        )
+    """The ring of integers modulo n; requires n >= 2."""
     return RingSpec((n,))
 
 

@@ -238,6 +238,24 @@ def test_graph_backends_refuse_vertices_out_of_order(native_kernels):
             _graph_edges_py(mods, verts)
 
 
+@pytest.mark.parametrize(
+    "mods, message",
+    [((), "no moduli"), ((3, 0), "moduli must be >= 1"), ((2, 0, 2), "moduli must be >= 1")],
+)
+def test_backends_refuse_malformed_moduli_alike(request, mods, message):
+    calls = [
+        lambda: kernels.pair_count(mods),
+        lambda: kernels.ann_pair_count_mixed(mods),
+        lambda: kernels.graph_edges(mods, []),
+    ]
+    for backend in ("compiled_backend", "pure_backend"):
+        request.getfixturevalue(backend)
+        for call in calls:
+            with pytest.raises(Exception) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (ValueError, message), backend
+
+
 def test_dispatch_keeps_the_pure_form_beyond_64_bits(compiled_backend, monkeypatch):
     calls = []
     pure = ["_mc_zero_pairs_py", "_brent_rho_py", "_is_prime_py"]
@@ -434,7 +452,7 @@ def test_cli_bytes_identical_across_backends(native_kernels):
 _PROBE_MODULES = """
 import sys
 import zeroprod.cli
-print(sorted(m for m in ("ctypes", "subprocess", "cffi", "hashlib") if m in sys.modules))
+print(sorted(m for m in ("ctypes", "subprocess", "cffi", "hashlib", "csv") if m in sys.modules))
 """
 
 

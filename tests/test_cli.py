@@ -631,3 +631,48 @@ def test_warm_call_leaves_no_cyclic_garbage(capsys, argv):
         if enabled:
             gc.enable()
     capsys.readouterr()
+
+
+def _csv_writer_text(record: dict) -> str:
+    """What csv.writer makes of a record: its keys, then its cells, with
+    booleans as true/false and None as an empty cell."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return "" if value is None else value
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(record)
+    writer.writerow(map(cell, record.values()))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, cell",
+    [
+        (["prob", "12"], "closed-form"),
+        (["prob", "3591", "--paranoid"], "closed-form (brute-verified)"),
+        (["prob", "--ring", "Zn(65)xZn(55)", "--paranoid"], "product (brute-verified)"),
+        (["bounds", "7"], ""),  # the empty maxann of a field
+        (["bounds", "8"], "true"),
+        (["montecarlo", "1234", "--samples", "1000"], "Zn(1234)"),
+    ],
+)
+@pytest.mark.parametrize("digits", ["0", "6", "4300"])
+def test_csv_record_equals_csv_writer(capsys, monkeypatch, argv, cell, digits):
+    """A record's CSV is its comma-joined cells, which is what csv.writer
+    writes of them: no cell needs quoting."""
+    records = []
+    emit = zeroprod.cli._emit_record
+
+    def recorded(record, fmt, out):
+        records.append(record)
+        emit(record, fmt, out)
+
+    monkeypatch.setattr(zeroprod.cli, "_emit_record", recorded)
+    code, out, err = run_cli(capsys, *argv, "--format", "csv", "--digits", digits)
+    assert (code, err) == (0, "")
+    [record] = records
+    assert out == _csv_writer_text(record)
+    assert cell in out.splitlines()[1].split(",")

@@ -45,6 +45,29 @@ class TestSpecs:
         with pytest.raises(ExcludedRingError):
             Zn(0)
 
+    @pytest.mark.parametrize(
+        "moduli, bad, error",
+        [
+            ((1,), 1, ExcludedRingError),
+            ((3, 0), 0, ExcludedRingError),
+            ((-2,), -2, InvalidInputError),
+            ((2.0,), 2.0, InvalidInputError),
+            ((True, 3), True, InvalidInputError),
+        ],
+    )
+    def test_ring_spec_checks_every_modulus_as_zn_does(self, moduli, bad, error):
+        with pytest.raises(error) as zn:
+            Zn(bad)
+        with pytest.raises(error) as spec:
+            RingSpec(moduli)
+        assert type(spec.value) is type(zn.value)
+        assert str(spec.value) == str(zn.value)
+
+    @pytest.mark.parametrize("moduli", [(), [4, 9]])
+    def test_ring_spec_needs_a_nonempty_tuple(self, moduli):
+        with pytest.raises(InvalidInputError, match="nonempty tuple"):
+            RingSpec(moduli)
+
     def test_product_needs_two_factors(self):
         with pytest.raises(InvalidInputError):
             Product((Zn(4),))
