@@ -211,8 +211,9 @@ def ann_profile_zpk(p: int, k: int) -> AnnProfile:
     return AnnProfile.from_histogram(_zpk_histogram(p, k), p**k)
 
 
-def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
-    """Predicted annihilator profile of Z_n from a factorization of n >= 2.
+def ann_histogram_from_factorization(f: Factorization) -> dict[int, int]:
+    """Predicted annihilator-size histogram of Z_n, size -> element
+    count, from a factorization of n >= 2.
 
     Annihilator sizes multiply across the Z_{p^k} components of Z_n, so
     its histogram {d: phi(n/d) for d | n} is the multiplicative
@@ -222,7 +223,12 @@ def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
     """
     if not f:
         raise ExcludedRingError(_ZERO_RING)
-    hist = histogram_product(_zpk_histogram(p, k) for p, k in f)
+    return histogram_product(_zpk_histogram(p, k) for p, k in f)
+
+
+def ann_profile_from_factorization(f: Factorization) -> AnnProfile:
+    """:func:`ann_histogram_from_factorization`, bucketed by element class."""
+    hist = ann_histogram_from_factorization(f)
     return AnnProfile.from_histogram(hist, prod(p**k for p, k in f))
 
 

@@ -31,9 +31,10 @@ for Miller-Rabin; n below 2**31 for the Z_n pair kernels) and the
 library exists; otherwise it runs the pure form, which takes
 arbitrary-precision integers and returns the same values.  Either form
 of a product-ring kernel holds (sum of the moduli) zero lanes of
-ceil(order/64) words.  One check runs before either form: no moduli or
-a modulus below 1 raise ``ValueError``, and lanes of more than 2**28
-bytes raise ``ResourceLimitError``, before anything is allocated.  Every
+ceil(order/64) words.  Checks run before either form: for every ring
+shape, no moduli or a modulus below 1 raise ``ValueError``, and for a
+product ring lanes of more than 2**28 bytes raise
+``ResourceLimitError``, before anything is allocated.  Every
 ring that limit admits has an order below 2**31, so the compiled form
 runs whenever the library exists.  The extension module is built once
 per machine and Python, by the first import that finds it missing, into
@@ -275,17 +276,22 @@ def _ann_pair_count_zn_py(n: int) -> int:
     return diagonal + 2 * upper
 
 
-def _require_lanes(mods: tuple[int, ...]) -> None:
+def _require_moduli(mods: tuple[int, ...]) -> None:
     """Refuse no moduli or a modulus below 1, with the compiled form's
-    ``ValueError``, and zero lanes of more than _LANE_BYTES: (sum of the
-    moduli) lanes of ceil(order/64) 64-bit words.  The product-ring
-    entries call it before either form allocates a lane.  Two or more
-    moduli sum to at least 2, so it refuses every such ring of order
-    2**31 or more."""
+    ``ValueError``."""
     if not mods:
         raise ValueError("no moduli")
     if min(mods) < 1:
         raise ValueError("moduli must be >= 1")
+
+
+def _require_lanes(mods: tuple[int, ...]) -> None:
+    """:func:`_require_moduli`, then refuse zero lanes of more than
+    _LANE_BYTES: (sum of the moduli) lanes of ceil(order/64) 64-bit
+    words.  The product-ring kernels call it before either form
+    allocates a lane.  Two or more moduli sum to at least 2, so it
+    refuses every such ring of order 2**31 or more."""
+    _require_moduli(mods)
     lane_bytes = sum(mods) * -(-prod(mods) // 64) * 8
     if lane_bytes > _LANE_BYTES:
         raise ResourceLimitError(
@@ -428,6 +434,7 @@ def _graph_edges_mixed_py(
 def pair_count(mods: tuple[int, ...]) -> int:
     """Ordered zero-product pairs of Z_{m1} x ... x Z_{mr}, enumerated."""
     if len(mods) == 1:
+        _require_moduli(mods)
         return ann_pair_count_zn(mods[0])
     return ann_pair_count_mixed(mods)
 
@@ -438,6 +445,7 @@ def graph_edges(mods: tuple[int, ...], verts: list) -> list[tuple[int, int]]:
     ascending elements (``ValueError`` otherwise): ints for one modulus,
     digit tuples for more."""
     if len(mods) == 1:
+        _require_moduli(mods)
         return graph_edges_zn(mods[0], verts)
     _require_lanes(mods)
     if (native := _compiled()) is not None:

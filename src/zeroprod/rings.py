@@ -257,16 +257,21 @@ class AnnProfile:
         return sum(size * cnt for size, cnt in self.histogram().items())
 
 
-def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
-    """Measure the annihilator profile of the ring in one kernel pass.
+def ann_histogram(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> dict[int, int]:
+    """Measure the ring's annihilator-size histogram, size -> element
+    count, in one kernel pass.
 
     This is the only caller of the annihilator-histogram kernel, which
     takes Z_n as a one-modulus product: every measured k, m and
     zero-product count in the package comes from here.
     """
-    order = _require_single(spec, caps)
-    hist = kernels.ann_size_histogram_mixed(spec.moduli)
-    return AnnProfile.from_histogram(hist, order)
+    _require_single(spec, caps)
+    return kernels.ann_size_histogram_mixed(spec.moduli)
+
+
+def ann_profile(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> AnnProfile:
+    """The measured :func:`ann_histogram`, bucketed by element class."""
+    return AnnProfile.from_histogram(ann_histogram(spec, caps), ring_order(spec))
 
 
 def zero_divisor_count(spec: RingSpec, caps: Caps = DEFAULT_CAPS) -> int:

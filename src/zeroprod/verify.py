@@ -12,10 +12,20 @@ Four named checks run for every n in [2, max_n]:
   prime-power-profile measured annihilator profile matches the
                       valuation-partition prediction when n = p^k
 
-The legs are compared as counts |Ann| = P*l^2 of zero-product pairs, so
-a passing ring builds no ``Fraction``.  A failed check, an impossible
-measured structure included, is reported, never raised: the caller
-decides the exit code.
+A ring is judged on two size -> count histograms of its annihilators:
+the measured one, from one pass of the sieve kernel
+(:func:`zeroprod.rings.ann_histogram`), and the derived one,
+{d: phi(n/d)}, from the factorization
+(:func:`zeroprod.formulas.ann_histogram_from_factorization`).  One pass
+over the measured histogram gives |Ann|, k and m.  One
+comparison, ``same`` (equal histograms of equal orders), stands in for
+the Pillai count, the derived k and m and the prime-power profile; only
+a ring that fails it sums and scans the derived histogram too.  The legs
+are compared as counts |Ann| = P*l^2 of zero-product pairs, and an
+``AnnProfile``, a ``Fraction`` or detail text is built only inside a
+check that fails, so a passing ring builds none.  A failed check, an
+impossible measured structure included, is reported, never raised: the
+caller decides the exit code.
 """
 
 from __future__ import annotations
@@ -26,12 +36,15 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from math import prod
 
 from zeroprod.arith import rat_str, ratio_str
 from zeroprod.errors import InvalidInputError
 from zeroprod.factor import factorize
-from zeroprod.formulas import ann_profile_from_factorization, bound_chain, p_zn_ratio
-from zeroprod.rings import Caps, DEFAULT_CAPS, Zn, _require_single, ann_profile, pair_count
+from zeroprod.formulas import ann_histogram_from_factorization, bound_chain, p_zn_ratio
+from zeroprod.rings import (
+    AnnProfile, Caps, DEFAULT_CAPS, Zn, _require_single, ann_histogram, pair_count,
+)
 
 # Pair enumeration is quadratic, so the triple-oracle check runs it only
 # up to this bound by default; the other legs cover the whole range.
@@ -95,6 +108,24 @@ def _rat(count: int, l2: int) -> str:
     return rat_str(Fraction(count, l2))
 
 
+def _tally(hist: dict[int, int], order: int) -> tuple[int, int, int | None, int]:
+    """(|Ann|, k, m, sizes outside [2, order)) of a size -> count histogram
+    of a ring of the given order, in one pass: |Ann| sums size * count
+    over every size, and k and m are the count and the largest of the
+    sizes from 2 to order - 1 (the nonzero zero-divisors), m None
+    without any."""
+    total = zcount = inner = 0
+    maxann = None
+    for size, cnt in hist.items():
+        total += size * cnt
+        if 2 <= size < order:
+            inner += 1
+            zcount += cnt
+            if maxann is None or size > maxann:
+                maxann = size
+    return total, zcount, maxann, len(hist) - inner
+
+
 def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFailure]]:
     failures = []
     spec = Zn(n)
@@ -102,28 +133,36 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
 
     f = factorize(n)
     num, den = p_zn_ratio(f)
-    derived = ann_profile_from_factorization(f)
-    profile = ann_profile(spec, caps)
-    count = profile.ann_count()
-    counts = {"pillai": derived.ann_count(), "measured": count}
-    if n <= min(pairwise_bound, caps.pairwise):
-        counts["pairs"] = pair_count(spec, caps)
-    if any(c * den != num * l2 for c in counts.values()):
+    derived = ann_histogram_from_factorization(f)
+    hist = ann_histogram(spec, caps)
+    order = prod(p**k for p, k in f)
+    count, zcount, maxann, outside = _tally(hist, n)
+    # Equal histograms of equal orders have equal |Ann|, k, m and profile.
+    same = order == n and derived == hist
+    pillai, dzcount, dmaxann, _ = (count, zcount, maxann, 0) if same else _tally(derived, order)
+    pairs = pair_count(spec, caps) if n <= min(pairwise_bound, caps.pairwise) else None
+    # Once the measured count meets the closed form, every other leg must
+    # equal it.
+    if count * den != num * l2 or pillai != count or pairs not in (None, count):
         legs = [f"closed={ratio_str(num, den)}"]
-        legs += [f"{name}={_rat(c, l2)}" for name, c in counts.items()]
+        named = (("pillai", pillai), ("measured", count), ("pairs", pairs))
+        legs += [f"{name}={_rat(c, l2)}" for name, c in named if c is not None]
         failures.append(CheckFailure("triple-oracle", n, " ".join(legs)))
 
-    zcount, maxann = profile.zcount, profile.maxann
-    if profile.zero != {n: 1}:
-        detail = f"zero bucket is {profile.zero}"
-    elif profile.rest != {1: n - 1 - zcount}:
-        detail = f"rest bucket is {profile.rest}"
+    # The zero bucket (sizes >= n) must be {n: 1} and the units bucket
+    # (sizes below 2) {1: n - 1 - k}: two sizes outside [2, n) in all.
+    if outside != 2 or hist.get(n) != 1 or hist.get(1) != n - 1 - zcount:
+        profile = AnnProfile.from_histogram(hist, n)
+        if profile.zero != {n: 1}:
+            detail = f"zero bucket is {profile.zero}"
+        else:
+            detail = f"rest bucket is {profile.rest}"
     elif zcount > n - 2:
         detail = f"k = {zcount} > l - 2 = {n - 2}"
     elif maxann is not None and 2 * maxann > n:
         detail = f"m = {maxann} > l/2"
-    elif (zcount, maxann) != (derived.zcount, derived.maxann):
-        detail = f"measured k, m = {zcount}, {maxann} but derived {derived.zcount}, {derived.maxann}"
+    elif (zcount, maxann) != (dzcount, dmaxann):
+        detail = f"measured k, m = {zcount}, {maxann} but derived {dzcount}, {dmaxann}"
     else:
         detail = None
     if detail is not None:
@@ -134,8 +173,13 @@ def _check_n(n: int, caps: Caps, pairwise_bound: int) -> tuple[int, list[CheckFa
             detail = f"lower={_rat(lower, l2)} exact={_rat(count, l2)} upper={_rat(upper, l2)}"
             failures.append(CheckFailure("bounds-chain", n, detail))
 
-    if len(f) == 1 and derived != profile:
-        detail = f"predicted {derived} measured {profile}"
+    # Two histograms bucket alike when no size is in the zero bucket of
+    # one order and not of the other.
+    if len(f) == 1 and not same and (
+        derived != hist or any((size >= n) != (size >= order) for size in hist)
+    ):
+        predicted = AnnProfile.from_histogram(derived, order)
+        detail = f"predicted {predicted} measured {AnnProfile.from_histogram(hist, n)}"
         failures.append(CheckFailure("prime-power-profile", n, detail))
     return 3 + (len(f) == 1), failures
 

@@ -240,7 +240,13 @@ def test_graph_backends_refuse_vertices_out_of_order(native_kernels):
 
 @pytest.mark.parametrize(
     "mods, message",
-    [((), "no moduli"), ((3, 0), "moduli must be >= 1"), ((2, 0, 2), "moduli must be >= 1")],
+    [
+        ((), "no moduli"),
+        ((0,), "moduli must be >= 1"),
+        ((-3,), "moduli must be >= 1"),
+        ((3, 0), "moduli must be >= 1"),
+        ((2, 0, 2), "moduli must be >= 1"),
+    ],
 )
 def test_backends_refuse_malformed_moduli_alike(request, mods, message):
     calls = [

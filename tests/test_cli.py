@@ -14,7 +14,7 @@ import zeroprod.cli
 import zeroprod.kernels
 import zeroprod.verify
 from zeroprod.cli import main
-from zeroprod.rings import AnnProfile, Product, Zn, parse_ring
+from zeroprod.rings import Product, Zn, parse_ring
 
 
 def run_cli(capsys, *argv):
@@ -248,7 +248,7 @@ class TestVerify:
         def never(*args):
             raise AssertionError("no ring may be measured")
 
-        monkeypatch.setattr(zeroprod.verify, "ann_profile", never)
+        monkeypatch.setattr(zeroprod.verify, "ann_histogram", never)
         code, out, err = run_cli(capsys, "verify", "--max", "1200", "--cap", "1100")
         assert (code, out) == (3, "")
         assert "1200 exceeds the enumeration cap 1100" in err
@@ -262,15 +262,14 @@ class TestVerify:
         assert "FAIL" in out.splitlines()[-1]
 
     def test_wrong_derived_k_fails_ann_buckets(self, capsys, monkeypatch):
-        derive = zeroprod.verify.ann_profile_from_factorization
+        derive = zeroprod.verify.ann_histogram_from_factorization
 
         def one_extra_zero_divisor(f):
-            profile = derive(f)
-            zdiv = {**profile.zdiv, 2: profile.zdiv.get(2, 0) + 1}
-            return AnnProfile(profile.zero, zdiv, profile.rest)
+            hist = derive(f)
+            return {**hist, 2: hist.get(2, 0) + 1}
 
         monkeypatch.setattr(
-            zeroprod.verify, "ann_profile_from_factorization", one_extra_zero_divisor
+            zeroprod.verify, "ann_histogram_from_factorization", one_extra_zero_divisor
         )
         code, out, _ = run_cli(capsys, "verify", "--max", "10")
         assert code == 4

@@ -43,7 +43,7 @@ def calls(monkeypatch):
     originals = [getattr(kernels, name) for name in HISTOGRAMS] + [
         factor.factorize,
         factor.is_prime,
-        rings.ann_profile,
+        rings.ann_histogram,
         rings.validate_element,
     ]
     return _count_calls(monkeypatch, originals)
@@ -88,7 +88,7 @@ def test_one_histogram_and_factorization_per_verified_ring(calls):
 def test_verify_checks_the_cap_before_any_ring(calls):
     with pytest.raises(ResourceLimitError):
         run_verify(1200, Caps(single=1100, pairwise=1100))
-    assert calls["ann_profile"] == 0
+    assert calls["ann_histogram"] == 0
     assert calls["factorize"] == 0
 
 
@@ -206,10 +206,23 @@ def test_verify_with_two_jobs_submits_chunks_to_a_pool(monkeypatch, capsys):
 
 
 def test_passing_verify_builds_no_fraction(monkeypatch):
-    """The oracle legs are compared as integer counts."""
+    """The oracle legs are compared as integer counts, and each ring is
+    judged on its two histograms: no profile is bucketed unless a check
+    fails."""
     counts = _count_calls(monkeypatch, [verify.Fraction, arith.rat_make])
+    profiles = []
+    init = rings.AnnProfile.__init__
+
+    def counted_init(self, *args, **kwargs):
+        profiles.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rings.AnnProfile, "__init__", counted_init)
     assert run_verify(300).passed
     assert counts == {"Fraction": 0, "rat_make": 0}
+    assert profiles == []
+    rings.ann_profile(Zn(12))  # the counter sees a profile that is built
+    assert profiles == [1]
 
 
 def test_factorize_sieves_the_trial_primes_once(monkeypatch):
